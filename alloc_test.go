@@ -26,31 +26,44 @@ func checkSource(src string) (*types.Info, error) {
 	return types.Check(prog)
 }
 
+// chainedQueueFilter filters through a queue variable: the second
+// FILTER's receiver is the variable, not an entity.
+const chainedQueueFilter = `
+VAR small = Q.FILTER(p => p.SIZE < 100);
+VAR tiny = small.FILTER(p => p.SIZE < 55);
+SET(R1, tiny.COUNT);
+`
+
 func TestExecZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts only hold on production builds")
 	}
+	programs := []struct{ name, src string }{
+		{"minRTT", schedlib.MinRTT},
+		{"chainedQueueFilter", chainedQueueFilter},
+	}
+	type execer interface{ Exec(*runtime.Env) }
 	backends := []struct {
 		name  string
-		build func(t *testing.T) interface{ Exec(*runtime.Env) }
+		build func(t *testing.T, name, src string) execer
 	}{
-		{"interpreter", func(t *testing.T) interface{ Exec(*runtime.Env) } {
-			info, err := checkSource(schedlib.MinRTT)
+		{"interpreter", func(t *testing.T, _, src string) execer {
+			info, err := checkSource(src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return interp.New(info)
 		}},
-		{"compiled", func(t *testing.T) interface{ Exec(*runtime.Env) } {
-			return core.MustLoad("minRTT", schedlib.MinRTT, core.BackendCompiled)
+		{"compiled", func(t *testing.T, name, src string) execer {
+			return core.MustLoad(name, src, core.BackendCompiled)
 		}},
-		{"vm", func(t *testing.T) interface{ Exec(*runtime.Env) } {
-			s := core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
+		{"vm", func(t *testing.T, name, src string) execer {
+			s := core.MustLoad(name, src, core.BackendVM)
 			s.SetSynchronousSpecialization(true)
 			return s
 		}},
-		{"vm-raw", func(t *testing.T) interface{ Exec(*runtime.Env) } {
-			info, err := checkSource(schedlib.MinRTT)
+		{"vm-raw", func(t *testing.T, _, src string) execer {
+			info, err := checkSource(src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,18 +77,20 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 	for _, be := range backends {
 		be := be
 		t.Run(be.name, func(t *testing.T) {
-			s := be.build(t)
-			env := fig9Env(2)
-			for i := 0; i < 64; i++ { // warm caches, pools, specialization
-				env.Reset()
-				s.Exec(env)
-			}
-			n := testing.AllocsPerRun(500, func() {
-				env.Reset()
-				s.Exec(env)
-			})
-			if n != 0 {
-				t.Errorf("%s: %.1f allocs per execution, want 0", be.name, n)
+			for _, prog := range programs {
+				s := be.build(t, prog.name, prog.src)
+				env := fig9Env(2)
+				for i := 0; i < 64; i++ { // warm caches, pools, specialization
+					env.Reset()
+					s.Exec(env)
+				}
+				n := testing.AllocsPerRun(500, func() {
+					env.Reset()
+					s.Exec(env)
+				})
+				if n != 0 {
+					t.Errorf("%s on %s: %.1f allocs per execution, want 0", be.name, prog.name, n)
+				}
 			}
 		})
 	}

@@ -1,8 +1,9 @@
 // Package analysis is the static analyzer behind progmp-vet and the
 // control-plane admission gate. It runs a dataflow /
-// abstract-interpretation pass over the type-checked AST and derives a
-// static worst-case step bound, producing structured diagnostics
-// (rule id, severity, position) that callers can relay or act on.
+// abstract-interpretation pass over the type-checked AST, derives a
+// static worst-case step bound from the lowered IR (package ir), and
+// produces structured diagnostics (rule id, severity, position) that
+// callers can relay or act on.
 //
 // The severity contract: errors are programs the front end already
 // refuses (syntax, type, use-before-def, single-assignment, purity) —
@@ -20,6 +21,7 @@ import (
 	"strings"
 
 	"progmp/internal/lang"
+	"progmp/internal/lang/ir"
 	"progmp/internal/lang/types"
 	"progmp/internal/runtime"
 	"progmp/internal/vm"
@@ -95,12 +97,11 @@ func AnalyzeProgram(info *types.Info, opts Options) (*Report, *Facts) {
 		rep:      &Report{},
 		facts:    &Facts{},
 		vals:     make(map[*types.Symbol]absVal),
-		chainDef: make(map[*types.Symbol]lang.Expr),
 		consumed: make(map[*types.Symbol]bool),
 	}
 	a.run()
 
-	bound := a.costProgram()
+	bound := programCost(ir.Lower(info))
 	a.rep.StepBound = bound.String()
 	a.rep.StepBoundAt = bound.eval(opts.RefSubflows, opts.RefQueueDepth)
 	a.facts.Bound = a.rep.StepBound

@@ -6,26 +6,34 @@ import (
 	"sort"
 	"strings"
 
-	"progmp/internal/lang"
-	"progmp/internal/lang/types"
+	"progmp/internal/lang/ir"
+	"progmp/internal/vm"
 )
 
-// The termination-bound model expresses a program's worst-case step
-// count as a polynomial over two size parameters: S, the number of
-// subflows (bounded by runtime.MaxSubflows), and N, the depth of a
-// packet queue (unbounded by the language, so evaluated at a reference
-// depth). The language cannot FOREACH over queues, so the polynomial
-// degree is bounded by the static expression structure: FOREACH and
-// list FILTER/MIN/MAX multiply their body by S, queue scans (TOP,
-// COUNT, EMPTY, MIN, MAX, and POP through a filter chain) multiply the
-// chain's predicate cost by N. Per-node constants are deliberately
-// generous so the bound dominates all three back-ends.
+// The step-bound model expresses a program's worst-case VM step count
+// as a polynomial over two size parameters: S, the number of subflows
+// (bounded by runtime.MaxSubflows), and N, the number of visible
+// packets in the longest queue (unbounded by the language, so
+// evaluated at a reference depth). It walks the lowered program
+// (package ir) in the shape the VM code generator (vm/compiler.go)
+// emits it, charging each emitted instruction vm.StepCost: the
+// instruction plus the spill loads and stores the register allocator
+// may wrap around it. The IR optimizer only removes or cheapens
+// instructions on any path, except that it hoists repeated constants
+// into an entry preamble; every constant load is charged one extra
+// step to pay for that. Loops over subflows and queue scans charge
+// their iteration S+1 and N+1 times (the extra pass is the exit test),
+// and both arms of an IF are summed, so every emitted instruction is
+// charged at least once — generic and specialized programs alike. The
+// language cannot FOREACH over queues, so the degree is bounded by the
+// static nesting.
 
 // term is one monomial's exponents: coeff · S^s · N^n.
 type term struct{ s, n int }
 
-// maxExponent caps monomial degree; anything deeper saturates the
-// coefficient instead (the bound stays sound: eval saturates anyway).
+// maxExponent caps monomial degree, keeping the representation finite.
+// Only nine nested loops reach it, and at the reference size a
+// degree-8 term is already far over the budget.
 const maxExponent = 8
 
 // poly is a sparse polynomial with saturating coefficients.
@@ -170,188 +178,239 @@ var (
 
 // ---- Program cost ----
 
-// costProgram bounds the whole program. Must run after the value walk
-// so queue-variable chains (chainDef) are resolved.
-func (a *analyzer) costProgram() poly {
-	total := constPoly(1)
-	for _, s := range a.info.Prog.Stmts {
-		total = total.add(a.costStmt(s))
-	}
-	return total
+// coster walks a lowered program in the order the VM code generator
+// emits it and charges every instruction at the current loop nesting.
+type coster struct {
+	// steps holds, per nesting term{s, n}, the steps repeated
+	// (S+1)^s·(N+1)^n times.
+	steps map[term]int64
+	nest  term
 }
 
-func (a *analyzer) costStmt(s lang.Stmt) poly {
-	switch s := s.(type) {
-	case *lang.BlockStmt:
-		total := constPoly(1)
-		for _, inner := range s.Stmts {
-			total = total.add(a.costStmt(inner))
-		}
-		return total
-	case *lang.IfStmt:
-		// Branch cost is summed, not maxed: sound and keeps the
-		// polynomial representation closed.
-		total := constPoly(1).add(a.costExpr(s.Cond))
-		for _, inner := range s.Then.Stmts {
-			total = total.add(a.costStmt(inner))
-		}
-		if s.Else != nil {
-			total = total.add(a.costStmt(s.Else))
-		}
-		return total
-	case *lang.VarDecl:
-		return a.costExpr(s.Init).addConst(2)
-	case *lang.ForeachStmt:
-		body := constPoly(2)
-		for _, inner := range s.Body.Stmts {
-			body = body.add(a.costStmt(inner))
-		}
-		return a.costExpr(s.Iter).add(sTerm.mul(body)).addConst(2)
-	case *lang.SetStmt:
-		return a.costExpr(s.Value).addConst(2)
-	case *lang.GSetStmt:
-		return a.costExpr(s.Value).addConst(2)
-	case *lang.PushStmt:
-		return a.costExpr(s.Target).add(a.costExpr(s.Arg)).addConst(2)
-	case *lang.DropStmt:
-		return a.costExpr(s.Arg).addConst(2)
-	case *lang.ReturnStmt:
-		return constPoly(1)
-	}
-	return constPoly(1)
-}
-
-func (a *analyzer) costExpr(e lang.Expr) poly {
-	switch e := e.(type) {
-	case *lang.NumberLit, *lang.BoolLit, *lang.NullLit, *lang.RegExpr,
-		*lang.GlobalExpr, *lang.Ident, *lang.EntityExpr:
-		return constPoly(1)
-	case *lang.UnaryExpr:
-		return a.costExpr(e.X).addConst(1)
-	case *lang.BinaryExpr:
-		return a.costExpr(e.X).add(a.costExpr(e.Y)).addConst(1)
-	case *lang.Lambda:
-		return a.costExpr(e.Body).addConst(1)
-	case *lang.MemberExpr:
-		return a.costMember(e)
-	}
-	return constPoly(1)
-}
-
-func (a *analyzer) costMember(e *lang.MemberExpr) poly {
-	m := a.info.Members[e]
-	recv := a.costExpr(e.Recv)
-	if m == nil {
-		return recv.addConst(1)
-	}
-	lambdaBody := func() poly {
-		if len(e.Args) == 1 {
-			if lam, ok := e.Args[0].(*lang.Lambda); ok {
-				return a.costExpr(lam.Body)
-			}
-		}
-		return constPoly(1)
-	}
-	switch costKind(m) {
-	case MemberFilterList:
-		// Subflow-list filters are materialized eagerly: one predicate
-		// evaluation per subflow.
-		return recv.add(sTerm.mul(lambdaBody().addConst(2))).addConst(1)
-	case MemberFilterQueue:
-		// Queue filters are lazy: building the chain is O(1); the
-		// predicates are charged where the chain is scanned.
-		return recv.addConst(1)
-	case MemberMinMaxList:
-		return recv.add(sTerm.mul(lambdaBody().addConst(2))).addConst(1)
-	case MemberMinMaxQueue:
-		preds := a.queuePredCost(e.Recv)
-		return recv.add(nTerm.mul(preds.add(lambdaBody()).addConst(2))).addConst(1)
-	case MemberQueueScan:
-		// TOP / POP / COUNT / EMPTY through a filter chain visit up to
-		// N packets, paying every predicate on each. On the bare queue
-		// they are O(1) — except COUNT, which walks the queue.
-		preds := a.queuePredCost(e.Recv)
-		if len(preds) == 1 && preds[term{}] == 0 && e.Name != "COUNT" && e.Name != "BYTES" {
-			return recv.addConst(2)
-		}
-		return recv.add(nTerm.mul(preds.addConst(1))).addConst(1)
-	}
-	// Property reads, GET, HAS_WINDOW_FOR, SENT_ON: constant work plus
-	// argument cost.
-	total := recv.addConst(2)
-	for _, arg := range e.Args {
-		total = total.add(a.costExpr(arg))
-	}
-	return total
-}
-
-// costMemberKind classifies members for the cost model.
-type costMemberKind int
-
-const (
-	memberOther costMemberKind = iota
-	// MemberFilterList is FILTER over a subflow list.
-	MemberFilterList
-	// MemberFilterQueue is FILTER over a packet queue.
-	MemberFilterQueue
-	// MemberMinMaxList is MIN/MAX over a subflow list.
-	MemberMinMaxList
-	// MemberMinMaxQueue is MIN/MAX over a packet queue.
-	MemberMinMaxQueue
-	// MemberQueueScan is TOP/FIRST/POP/COUNT/BYTES/EMPTY on a packet queue.
-	MemberQueueScan
+var (
+	sPasses = sTerm.addConst(1)
+	nPasses = nTerm.addConst(1)
 )
 
-// costKind folds the checker's member kinds and the receiver type into
-// the five cost-relevant shapes.
-func costKind(m *types.Member) costMemberKind {
-	switch m.Kind {
-	case types.MemberFilter:
-		if m.RecvType == types.PacketQueue {
-			return MemberFilterQueue
+// programCost bounds the steps of one execution of prog.
+func programCost(prog *ir.Program) poly {
+	c := &coster{steps: make(map[term]int64)}
+	c.stmts(prog.Body)
+	c.charge(vm.OpReturn)
+	total := constPoly(0)
+	for t, steps := range c.steps {
+		p := constPoly(steps)
+		for i := 0; i < t.s; i++ {
+			p = p.mul(sPasses)
 		}
-		return MemberFilterList
-	case types.MemberMin, types.MemberMax:
-		if m.RecvType == types.PacketQueue {
-			return MemberMinMaxQueue
+		for i := 0; i < t.n; i++ {
+			p = p.mul(nPasses)
 		}
-		return MemberMinMaxList
-	case types.MemberTop, types.MemberPop, types.MemberEmpty, types.MemberCount, types.MemberBytes:
-		if m.RecvType == types.PacketQueue {
-			return MemberQueueScan
-		}
-		return memberOther
+		total = total.add(p)
 	}
-	return memberOther
+	return total
 }
 
-// queuePredCost sums the predicate-body costs along the FILTER chain
-// rooted at a queue expression, resolving queue-typed variables to
-// their defining chains (legal because variables are
-// single-assignment and predicates are pure).
-func (a *analyzer) queuePredCost(e lang.Expr) poly {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		return constPoly(0)
-	case *lang.Ident:
-		if sym, ok := a.info.Uses[e]; ok {
-			if def, ok := a.chainDef[sym]; ok {
-				return a.queuePredCost(def)
-			}
-		}
-		return constPoly(0)
-	case *lang.MemberExpr:
-		m := a.info.Members[e]
-		if m != nil && m.Kind == types.MemberFilter && m.RecvType == types.PacketQueue {
-			pred := constPoly(1)
-			if len(e.Args) == 1 {
-				if lam, ok := e.Args[0].(*lang.Lambda); ok {
-					pred = a.costExpr(lam.Body).addConst(1)
-				}
-			}
-			return a.queuePredCost(e.Recv).add(pred)
-		}
-		return constPoly(0)
+func (c *coster) charge(ops ...vm.Op) {
+	for _, op := range ops {
+		c.steps[c.nest] += vm.StepCost(op)
 	}
-	return constPoly(0)
+}
+
+// imm charges n constant loads, each with its share of the preamble
+// the optimizer hoists repeated constants into.
+func (c *coster) imm(n int64) {
+	c.steps[c.nest] += n * (vm.StepCost(vm.OpMovImm) + 1)
+}
+
+// subflowLoop charges a loop over subflow indices: the generic loop's
+// setup (count, index, increment) once, and S+1 passes through its
+// header, body and back edge. An unrolled specialized loop costs less.
+func (c *coster) subflowLoop(body func()) {
+	c.imm(3)
+	c.nest.s++
+	c.charge(vm.OpLt, vm.OpJz, vm.OpAdd, vm.OpJmp)
+	body()
+	c.nest.s--
+}
+
+// queueScan charges a scan of q: per pass the cursor advance, the exit
+// test, every predicate and the body. A scan makes N+1 passes, one per
+// visible packet and the exit; a stopping scan without predicates
+// makes one, since its first pass exits or stops.
+func (c *coster) queueScan(q *ir.Queue, stops bool, body func()) {
+	c.imm(1)
+	full := !stops || len(q.Preds) > 0
+	if full {
+		c.nest.n++
+	}
+	c.imm(1)
+	c.charge(vm.OpQNext, vm.OpLt, vm.OpJnz, vm.OpPktRef, vm.OpJmp)
+	for _, lam := range q.Preds {
+		c.charge(vm.OpMov)
+		c.cond(lam.Body)
+	}
+	body()
+	if full {
+		c.nest.n--
+	}
+}
+
+// queueTop charges a scan for the first matching packet.
+func (c *coster) queueTop(q *ir.Queue) {
+	c.imm(1)
+	c.queueScan(q, true, func() { c.charge(vm.OpMov, vm.OpJmp) })
+}
+
+// take charges one MIN/MAX selection step: a NULL test, a key
+// comparison, two conditional jumps and two moves.
+func (c *coster) take() {
+	c.charge(vm.OpEq, vm.OpJnz, vm.OpLt, vm.OpJz, vm.OpMov, vm.OpMov)
+}
+
+func (c *coster) stmts(stmts []ir.Stmt) {
+	for _, s := range stmts {
+		c.stmt(s)
+	}
+}
+
+func (c *coster) stmt(s ir.Stmt) {
+	switch s := s.(type) {
+	case *ir.If:
+		c.cond(s.Cond)
+		c.stmts(s.Then)
+		if len(s.Else) > 0 {
+			c.charge(vm.OpJmp)
+			c.stmts(s.Else)
+		}
+	case *ir.Let:
+		c.expr(s.Init)
+	case *ir.Foreach:
+		c.expr(s.List)
+		c.subflowLoop(func() {
+			c.charge(vm.OpJbc, vm.OpSbfRef)
+			c.stmts(s.Body)
+		})
+	case *ir.Set:
+		c.expr(s.Value)
+		c.charge(vm.OpStoreReg)
+	case *ir.Push:
+		c.expr(s.Target)
+		c.expr(s.Pkt)
+		c.charge(vm.OpPush)
+	case *ir.Drop:
+		c.expr(s.Pkt)
+		c.charge(vm.OpDrop)
+	case *ir.Return:
+		c.charge(vm.OpReturn)
+	}
+}
+
+// cond charges an expression compiled in branch context.
+func (c *coster) cond(e *ir.Expr) {
+	switch e.Op {
+	case ir.Const:
+		c.charge(vm.OpJmp)
+	case ir.Not:
+		c.cond(e.X)
+	case ir.And, ir.Or:
+		c.cond(e.X)
+		c.cond(e.Y)
+	case ir.Lt, ir.Le, ir.Gt, ir.Ge, ir.EqInt, ir.EqBool, ir.EqPkt, ir.EqSbf:
+		c.expr(e.X)
+		c.expr(e.Y)
+		c.charge(vm.OpJlt)
+	case ir.SbfBool:
+		c.expr(e.X)
+		c.charge(vm.OpJsbz)
+	case ir.ListEmpty, ir.QEmpty:
+		c.emptyOperand(e)
+		c.charge(vm.OpJz)
+	default:
+		c.expr(e)
+		c.charge(vm.OpJz)
+	}
+}
+
+// emptyOperand charges what EMPTY tests against zero: the list mask or
+// the queue's first matching packet.
+func (c *coster) emptyOperand(e *ir.Expr) {
+	if e.Op == ir.ListEmpty {
+		c.expr(e.X)
+	} else {
+		c.queueTop(e.Q)
+	}
+}
+
+// expr charges an expression compiled into a register.
+func (c *coster) expr(e *ir.Expr) {
+	switch e.Op {
+	case ir.Const:
+		c.imm(1)
+	case ir.Reg, ir.Global:
+		c.charge(vm.OpLoadReg)
+	case ir.Local:
+	case ir.And, ir.Or:
+		c.expr(e.X)
+		c.expr(e.Y)
+		c.charge(vm.OpMov, vm.OpJz, vm.OpMov)
+	case ir.Subflows:
+		c.imm(1)
+		c.subflowLoop(func() { c.charge(vm.OpBitSet) })
+	case ir.ListFilter:
+		c.expr(e.X)
+		c.imm(1)
+		c.subflowLoop(func() {
+			c.charge(vm.OpJbc, vm.OpSbfRef, vm.OpBitSet)
+			c.cond(e.Fn.Body)
+		})
+	case ir.ListMin, ir.ListMax:
+		c.expr(e.X)
+		c.imm(2)
+		c.subflowLoop(func() {
+			c.charge(vm.OpJbc, vm.OpSbfRef)
+			c.expr(e.Fn.Body)
+			c.imm(1)
+			c.take()
+		})
+	case ir.ListGet:
+		c.expr(e.X)
+		c.expr(e.Y)
+		c.imm(1)
+		c.charge(vm.OpPopcnt, vm.OpJz, vm.OpMod, vm.OpAdd, vm.OpMod)
+		c.imm(2)
+		c.subflowLoop(func() { c.charge(vm.OpJbc, vm.OpJne, vm.OpSbfRef, vm.OpAdd) })
+	case ir.ListEmpty, ir.QEmpty:
+		c.emptyOperand(e)
+		c.imm(1)
+		c.charge(vm.OpEq)
+	case ir.QTop:
+		c.queueTop(e.Q)
+	case ir.QPop:
+		c.queueTop(e.Q)
+		c.charge(vm.OpJz, vm.OpPop)
+	case ir.QCount:
+		c.imm(2)
+		c.queueScan(e.Q, false, func() { c.charge(vm.OpAdd) })
+	case ir.QBytes:
+		c.imm(1)
+		c.queueScan(e.Q, false, func() { c.charge(vm.OpPktProp, vm.OpAdd) })
+	case ir.QMin, ir.QMax:
+		c.imm(3)
+		c.queueScan(e.Q, false, func() {
+			c.charge(vm.OpMov)
+			c.expr(e.Fn.Body)
+			c.take()
+		})
+	default:
+		// One ALU or property instruction over its operands: unary
+		// ones cost like a negation, binary ones like an addition.
+		c.expr(e.X)
+		if e.Y == nil {
+			c.charge(vm.OpNeg)
+			return
+		}
+		c.expr(e.Y)
+		c.charge(vm.OpAdd)
+	}
 }

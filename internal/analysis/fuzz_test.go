@@ -1,15 +1,20 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"progmp/internal/envtest"
 	"progmp/internal/interp"
 	"progmp/internal/lang"
+	"progmp/internal/lang/ir"
 	"progmp/internal/lang/types"
+	"progmp/internal/obs"
 	"progmp/internal/runtime"
 	"progmp/internal/schedlib"
+	"progmp/internal/vm"
 )
 
 // markerValue is written to R8 by the marker statement the agreement
@@ -72,9 +77,13 @@ func FuzzAnalyze(f *testing.F) {
 
 // TestGeneratedCorpusNoPanic pushes a deterministic batch of random
 // programs through the analyzer: no panics, well-formed reports, and a
-// step bound for every program that checks.
+// step bound for every program that checks. The bound must also hold:
+// for every generated and corpus program, the generic VM program and
+// its specializations take no more steps than the bound evaluated at
+// the environment's subflow count and longest visible queue.
 func TestGeneratedCorpusNoPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	envRng := rand.New(rand.NewSource(1))
 	for i := 0; i < 400; i++ {
 		src := envtest.GenProgram(rng)
 		rep := AnalyzeSource(src, Options{})
@@ -84,7 +93,72 @@ func TestGeneratedCorpusNoPanic(t *testing.T) {
 		if rep.StepBoundAt <= 0 {
 			t.Fatalf("generated program #%d has no step bound:\n%s", i, src)
 		}
+		checkStepBound(t, fmt.Sprintf("generated program #%d", i), src, envRng, 5)
 	}
+	names := make([]string, 0, len(schedlib.All))
+	for name := range schedlib.All {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		checkStepBound(t, name, schedlib.All[name], envRng, 50)
+	}
+}
+
+// checkStepBound runs src's generic VM program, and the program
+// specialized for each environment's subflow count, on envs random
+// environments and compares the measured steps with the step bound.
+func checkStepBound(t *testing.T, name, src string, rng *rand.Rand, envs int) {
+	t.Helper()
+	info := types.MustCheck(src)
+	bound := programCost(ir.Lower(info))
+	compile := func(n int) *vm.Program {
+		p, err := vm.Compile(info, vm.Options{SubflowCount: n})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return p
+	}
+	generic := compile(-1)
+	specialized := map[int]*vm.Program{}
+	for i := 0; i < envs; i++ {
+		seed := rng.Int63()
+		env := boundEnv(rand.New(rand.NewSource(seed)))
+		s := len(env.SubflowViews)
+		n := max(env.SendQ.Len(), env.UnackedQ.Len(), env.ReinjectQ.Len())
+		limit := bound.eval(int64(s), int64(n))
+		if specialized[s] == nil {
+			specialized[s] = compile(s)
+		}
+		for _, p := range []*vm.Program{generic, specialized[s]} {
+			steps := new(obs.Counter)
+			p.StepCounter = steps
+			if err := p.Exec(boundEnv(rand.New(rand.NewSource(seed)))); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if steps.Value() > limit {
+				t.Fatalf("%s (specialized for %d): %d steps at S=%d, N=%d exceed the bound %s = %d\n%s",
+					name, p.SpecializedSubflows, steps.Value(), s, n, bound, limit, src)
+			}
+		}
+	}
+}
+
+// boundEnv is a random environment widened to up to eight subflows, so
+// every specialization the runtime unrolls gets exercised.
+func boundEnv(rng *rand.Rand) *runtime.Env {
+	env := envtest.RandomEnv(rng)
+	for want := rng.Intn(9); len(env.SubflowViews) < want; {
+		env.SubflowViews = append(env.SubflowViews, envtest.NewSubflow(envtest.SbfSpec{
+			ID:       len(env.SubflowViews),
+			RTT:      int64(rng.Intn(100000) + 1),
+			Cwnd:     int64(rng.Intn(64) + 1),
+			InFlight: int64(rng.Intn(32)),
+			Lossy:    rng.Intn(4) == 0,
+			Backup:   rng.Intn(3) == 0,
+		}))
+	}
+	return env
 }
 
 // TestDeadBranchAgreement is the analyzer/interpreter agreement check:

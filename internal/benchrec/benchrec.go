@@ -271,9 +271,6 @@ type Thresholds struct {
 	RelTol float64
 }
 
-// DefaultThresholds is the 10%-regression gate of the bench tooling.
-func DefaultThresholds() Thresholds { return Thresholds{NsTol: 0.10, RelTol: 0.10} }
-
 // Compare diffs cand against base and returns one message per
 // regression (empty means the gate passes). Experiments present in
 // only one record are ignored: adding a measurement must not fail the

@@ -1,17 +1,18 @@
 // Package compile is the ahead-of-time compilation back-end for ProgMP
 // scheduler programs ("alternative 2" in §4.1 of the paper, which
 // generates and compiles C functions). The Go analogue compiles the
-// checked AST once into a tree of typed closures, so executions pay no
-// AST dispatch, no name resolution, and no intermediate allocations:
-// FILTER chains compile to fused iterators (late materialization), and
-// FILTER→MIN/MAX collapses into a single loop.
+// lowered IR (package ir) once into a tree of typed closures, so
+// executions pay no IR dispatch and no intermediate allocations: queue
+// FILTER chains, resolved statically by the lowering, compile to one
+// predicate slice per scan (late materialization), and FILTER→MIN/MAX
+// collapses into a single loop.
 package compile
 
 import (
 	"fmt"
 	"sync"
 
-	"progmp/internal/lang"
+	"progmp/internal/lang/ir"
 	"progmp/internal/lang/types"
 	"progmp/internal/runtime"
 )
@@ -20,21 +21,19 @@ import (
 // use with distinct environments; execution frames are pooled so a
 // steady-state execution does not allocate.
 type Compiled struct {
-	stmts    []stmtFn
-	numSlots int
-	frames   sync.Pool
+	stmts  []stmtFn
+	frames sync.Pool
 }
 
 // New compiles a checked program.
 func New(info *types.Info) *Compiled {
-	c := &compiler{info: info}
-	stmts := make([]stmtFn, len(info.Prog.Stmts))
-	for i, s := range info.Prog.Stmts {
-		stmts[i] = c.compileStmt(s)
+	prog := ir.Lower(info)
+	cp := &Compiled{stmts: make([]stmtFn, len(prog.Body))}
+	for i, s := range prog.Body {
+		cp.stmts[i] = compileStmt(s)
 	}
-	cp := &Compiled{stmts: stmts, numSlots: info.NumSlots}
 	cp.frames.New = func() any {
-		return &state{slots: make([]value, cp.numSlots)}
+		return &state{slots: make([]value, prog.NumSlots)}
 	}
 	return cp
 }
@@ -70,13 +69,6 @@ type value struct {
 	pkt  *runtime.PacketView
 	sbf  *runtime.SubflowView
 	list []*runtime.SubflowView
-	q    queueVal
-}
-
-// queueVal is a (possibly filtered) queue value.
-type queueVal struct {
-	base  *runtime.Queue
-	preds []predFn
 }
 
 type (
@@ -90,13 +82,12 @@ type (
 		// safe mid-execution.
 		arena []*runtime.SubflowView
 	}
-	stmtFn  func(*state) bool // true = RETURN unwinding
-	intFn   func(*state) int64
-	boolFn  func(*state) bool
-	pktFn   func(*state) *runtime.PacketView
-	sbfFn   func(*state) *runtime.SubflowView
-	queueFn func(*state) queueVal
-	predFn  func(*state, *runtime.PacketView) bool
+	stmtFn func(*state) bool // true = RETURN unwinding
+	intFn  func(*state) int64
+	boolFn func(*state) bool
+	pktFn  func(*state) *runtime.PacketView
+	sbfFn  func(*state) *runtime.SubflowView
+	predFn func(*state, *runtime.PacketView) bool
 	// listFn yields a subflow list, materialized into the state arena.
 	// Lists are eager (matching the interpreter's FILTER semantics);
 	// consumers loop over the returned slice directly, so no
@@ -106,8 +97,15 @@ type (
 	listFn func(*state) []*runtime.SubflowView
 )
 
-func (q queueVal) each(st *state, yield func(*runtime.PacketView) bool) {
-	q.base.All(func(p *runtime.PacketView) bool {
+// queueScan is a compiled ir.Queue: the base queue and its predicates,
+// composed once at compile time and shared by every execution.
+type queueScan struct {
+	id    runtime.QueueID
+	preds []predFn
+}
+
+func (q queueScan) each(st *state, yield func(*runtime.PacketView) bool) {
+	st.env.Queue(q.id).All(func(p *runtime.PacketView) bool {
 		for _, pred := range q.preds {
 			if !pred(st, p) {
 				return true
@@ -117,7 +115,7 @@ func (q queueVal) each(st *state, yield func(*runtime.PacketView) bool) {
 	})
 }
 
-func (q queueVal) top(st *state) *runtime.PacketView {
+func (q queueScan) top(st *state) *runtime.PacketView {
 	var res *runtime.PacketView
 	q.each(st, func(p *runtime.PacketView) bool {
 		res = p
@@ -126,20 +124,14 @@ func (q queueVal) top(st *state) *runtime.PacketView {
 	return res
 }
 
-type compiler struct {
-	info *types.Info
-}
-
 // ---- Statements ----
 
-func (c *compiler) compileStmt(s lang.Stmt) stmtFn {
+func compileStmt(s ir.Stmt) stmtFn {
 	switch s := s.(type) {
-	case *lang.BlockStmt:
-		return c.compileBlock(s.Stmts)
-	case *lang.IfStmt:
-		cond := c.compileBool(s.Cond)
-		then := c.compileBlock(s.Then.Stmts)
-		if s.Else == nil {
+	case *ir.If:
+		cond := compileBool(s.Cond)
+		then := compileBlock(s.Then)
+		if len(s.Else) == 0 {
 			return func(st *state) bool {
 				if cond(st) {
 					return then(st)
@@ -147,45 +139,36 @@ func (c *compiler) compileStmt(s lang.Stmt) stmtFn {
 				return false
 			}
 		}
-		els := c.compileStmt(s.Else)
+		els := compileBlock(s.Else)
 		return func(st *state) bool {
 			if cond(st) {
 				return then(st)
 			}
 			return els(st)
 		}
-	case *lang.VarDecl:
-		sym := c.info.Defs[s]
-		slot := sym.Slot
-		switch sym.Type {
+	case *ir.Let:
+		slot := s.Slot
+		switch s.Init.Type {
 		case types.Int:
-			f := c.compileInt(s.Init)
+			f := compileInt(s.Init)
 			return func(st *state) bool { st.slots[slot] = value{i: f(st)}; return false }
 		case types.Bool:
-			f := c.compileBool(s.Init)
+			f := compileBool(s.Init)
 			return func(st *state) bool { st.slots[slot] = value{b: f(st)}; return false }
 		case types.Packet:
-			f := c.compilePkt(s.Init)
+			f := compilePkt(s.Init)
 			return func(st *state) bool { st.slots[slot] = value{pkt: f(st)}; return false }
 		case types.Subflow:
-			f := c.compileSbf(s.Init)
+			f := compileSbf(s.Init)
 			return func(st *state) bool { st.slots[slot] = value{sbf: f(st)}; return false }
 		case types.SubflowList:
-			it := c.compileList(s.Init)
-			return func(st *state) bool {
-				st.slots[slot] = value{list: it(st)}
-				return false
-			}
-		case types.PacketQueue:
-			f := c.compileQueue(s.Init)
-			return func(st *state) bool { st.slots[slot] = value{q: f(st)}; return false }
+			f := compileList(s.Init)
+			return func(st *state) bool { st.slots[slot] = value{list: f(st)}; return false }
 		}
-		panic(fmt.Sprintf("compile: VAR of type %s", sym.Type))
-	case *lang.ForeachStmt:
-		sym := c.info.Defs[s]
-		slot := sym.Slot
-		iter := c.compileList(s.Iter)
-		body := c.compileBlock(s.Body.Stmts)
+	case *ir.Foreach:
+		slot := s.Slot
+		iter := compileList(s.List)
+		body := compileBlock(s.Body)
 		return func(st *state) bool {
 			for _, sbf := range iter(st) {
 				st.slots[slot] = value{sbf: sbf}
@@ -195,43 +178,42 @@ func (c *compiler) compileStmt(s lang.Stmt) stmtFn {
 			}
 			return false
 		}
-	case *lang.SetStmt:
+	case *ir.Set:
 		reg := s.Reg
-		f := c.compileInt(s.Value)
+		f := compileInt(s.Value)
+		if s.Global {
+			return func(st *state) bool { st.env.SetGlobal(reg, f(st)); return false }
+		}
 		return func(st *state) bool { st.env.SetReg(reg, f(st)); return false }
-	case *lang.GSetStmt:
-		reg := s.Reg
-		f := c.compileInt(s.Value)
-		return func(st *state) bool { st.env.SetGlobal(reg, f(st)); return false }
-	case *lang.PushStmt:
-		target := c.compileSbf(s.Target)
-		arg := c.compilePkt(s.Arg)
-		site := int32(s.PushAt.Line)
+	case *ir.Push:
+		target := compileSbf(s.Target)
+		arg := compilePkt(s.Pkt)
+		site := s.Site
 		return func(st *state) bool {
 			t, p := target(st), arg(st)
 			st.env.Site = site
 			st.env.Push(t, p)
 			return false
 		}
-	case *lang.DropStmt:
-		arg := c.compilePkt(s.Arg)
-		site := int32(s.DropPos.Line)
+	case *ir.Drop:
+		arg := compilePkt(s.Pkt)
+		site := s.Site
 		return func(st *state) bool {
 			p := arg(st)
 			st.env.Site = site
 			st.env.Drop(p)
 			return false
 		}
-	case *lang.ReturnStmt:
+	case *ir.Return:
 		return func(*state) bool { return true }
 	}
 	panic(fmt.Sprintf("compile: unhandled statement %T", s))
 }
 
-func (c *compiler) compileBlock(stmts []lang.Stmt) stmtFn {
+func compileBlock(stmts []ir.Stmt) stmtFn {
 	fns := make([]stmtFn, len(stmts))
 	for i, s := range stmts {
-		fns[i] = c.compileStmt(s)
+		fns[i] = compileStmt(s)
 	}
 	return func(st *state) bool {
 		for _, f := range fns {
@@ -243,430 +225,265 @@ func (c *compiler) compileBlock(stmts []lang.Stmt) stmtFn {
 	}
 }
 
-// ---- Int expressions ----
-
-func (c *compiler) compileInt(e lang.Expr) intFn {
-	switch e := e.(type) {
-	case *lang.NumberLit:
-		v := e.Val
-		return func(*state) int64 { return v }
-	case *lang.RegExpr:
-		idx := e.Index
-		return func(st *state) int64 { return st.env.Reg(idx) }
-	case *lang.GlobalExpr:
-		idx := e.Index
-		return func(st *state) int64 { return st.env.Global(idx) }
-	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
-		return func(st *state) int64 { return st.slots[slot].i }
-	case *lang.UnaryExpr:
-		x := c.compileInt(e.X)
-		return func(st *state) int64 { return -x(st) }
-	case *lang.BinaryExpr:
-		x := c.compileInt(e.X)
-		y := c.compileInt(e.Y)
-		switch e.Op {
-		case lang.PLUS:
-			return func(st *state) int64 { return x(st) + y(st) }
-		case lang.MINUS:
-			return func(st *state) int64 { return x(st) - y(st) }
-		case lang.STAR:
-			return func(st *state) int64 { return x(st) * y(st) }
-		case lang.SLASH:
-			return func(st *state) int64 {
-				d := y(st)
-				if d == 0 {
-					return 0
-				}
-				return x(st) / d
-			}
-		case lang.PERCENT:
-			return func(st *state) int64 {
-				d := y(st)
-				if d == 0 {
-					return 0
-				}
-				return x(st) % d
-			}
-		}
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberSbfInt:
-			recv := c.compileSbf(e.Recv)
-			prop := m.SbfInt
-			return func(st *state) int64 {
-				sbf := recv(st)
-				if sbf == nil {
-					return 0
-				}
-				return sbf.Ints[prop]
-			}
-		case types.MemberPktInt:
-			recv := c.compilePkt(e.Recv)
-			prop := m.PktInt
-			return func(st *state) int64 {
-				p := recv(st)
-				if p == nil {
-					return 0
-				}
-				return p.Ints[prop]
-			}
-		case types.MemberCount:
-			if m.RecvType == types.SubflowList {
-				iter := c.compileList(e.Recv)
-				return func(st *state) int64 {
-					return int64(len(iter(st)))
-				}
-			}
-			q := c.compileQueue(e.Recv)
-			return func(st *state) int64 {
-				var n int64
-				q(st).each(st, func(*runtime.PacketView) bool { n++; return true })
-				return n
-			}
-		case types.MemberBytes:
-			q := c.compileQueue(e.Recv)
-			return func(st *state) int64 {
-				var n int64
-				q(st).each(st, func(p *runtime.PacketView) bool { n += p.Ints[runtime.PktSize]; return true })
-				return n
-			}
+// compileQueue compiles the predicates of a resolved queue once.
+func compileQueue(q *ir.Queue) queueScan {
+	preds := make([]predFn, len(q.Preds))
+	for i, lam := range q.Preds {
+		slot := lam.Slot
+		body := compileBool(lam.Body)
+		preds[i] = func(st *state, p *runtime.PacketView) bool {
+			st.slots[slot] = value{pkt: p}
+			return body(st)
 		}
 	}
-	panic(fmt.Sprintf("compile: unhandled int expression %T (%s)", e, lang.FormatExpr(e)))
+	return queueScan{id: q.ID, preds: preds}
+}
+
+// ---- Int expressions ----
+
+func compileInt(e *ir.Expr) intFn {
+	switch e.Op {
+	case ir.Const:
+		v := e.K
+		return func(*state) int64 { return v }
+	case ir.Reg:
+		idx := int(e.K)
+		return func(st *state) int64 { return st.env.Reg(idx) }
+	case ir.Global:
+		idx := int(e.K)
+		return func(st *state) int64 { return st.env.Global(idx) }
+	case ir.Local:
+		slot := e.K
+		return func(st *state) int64 { return st.slots[slot].i }
+	case ir.Neg:
+		x := compileInt(e.X)
+		return func(st *state) int64 { return -x(st) }
+	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Mod:
+		x, y := compileInt(e.X), compileInt(e.Y)
+		switch e.Op {
+		case ir.Add:
+			return func(st *state) int64 { return x(st) + y(st) }
+		case ir.Sub:
+			return func(st *state) int64 { return x(st) - y(st) }
+		case ir.Mul:
+			return func(st *state) int64 { return x(st) * y(st) }
+		case ir.Div:
+			return func(st *state) int64 { return ir.DivInt(x(st), y(st)) }
+		default:
+			return func(st *state) int64 { return ir.ModInt(x(st), y(st)) }
+		}
+	case ir.SbfInt:
+		recv := compileSbf(e.X)
+		prop := runtime.SubflowIntProp(e.K)
+		return func(st *state) int64 { return recv(st).Int(prop) }
+	case ir.PktInt:
+		recv := compilePkt(e.X)
+		prop := runtime.PacketIntProp(e.K)
+		return func(st *state) int64 { return recv(st).Int(prop) }
+	case ir.ListCount:
+		iter := compileList(e.X)
+		return func(st *state) int64 { return int64(len(iter(st))) }
+	case ir.QCount:
+		q := compileQueue(e.Q)
+		return func(st *state) int64 {
+			var n int64
+			q.each(st, func(*runtime.PacketView) bool { n++; return true })
+			return n
+		}
+	case ir.QBytes:
+		q := compileQueue(e.Q)
+		return func(st *state) int64 {
+			var n int64
+			q.each(st, func(p *runtime.PacketView) bool { n += p.Ints[runtime.PktSize]; return true })
+			return n
+		}
+	}
+	panic(fmt.Sprintf("compile: unhandled int op %d", e.Op))
 }
 
 // ---- Bool expressions ----
 
-func (c *compiler) compileBool(e lang.Expr) boolFn {
-	switch e := e.(type) {
-	case *lang.BoolLit:
-		v := e.Val
-		return func(*state) bool { return v }
-	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
-		return func(st *state) bool { return st.slots[slot].b }
-	case *lang.UnaryExpr:
-		x := c.compileBool(e.X)
-		return func(st *state) bool { return !x(st) }
-	case *lang.BinaryExpr:
-		return c.compileBoolBinary(e)
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberSbfBool:
-			recv := c.compileSbf(e.Recv)
-			prop := m.SbfBool
-			return func(st *state) bool {
-				sbf := recv(st)
-				if sbf == nil {
-					return false
-				}
-				return sbf.Bools[prop]
-			}
-		case types.MemberHasWindowFor:
-			recv := c.compileSbf(e.Recv)
-			arg := c.compilePkt(e.Args[0])
-			return func(st *state) bool { return recv(st).HasWindowFor(arg(st)) }
-		case types.MemberSentOn:
-			recv := c.compilePkt(e.Recv)
-			arg := c.compileSbf(e.Args[0])
-			return func(st *state) bool { return recv(st).SentOn(arg(st)) }
-		case types.MemberEmpty:
-			if m.RecvType == types.SubflowList {
-				iter := c.compileList(e.Recv)
-				return func(st *state) bool {
-					return len(iter(st)) == 0
-				}
-			}
-			q := c.compileQueue(e.Recv)
-			return func(st *state) bool { return q(st).top(st) == nil }
-		}
-	}
-	panic(fmt.Sprintf("compile: unhandled bool expression %T (%s)", e, lang.FormatExpr(e)))
-}
-
-func (c *compiler) compileBoolBinary(e *lang.BinaryExpr) boolFn {
+func compileBool(e *ir.Expr) boolFn {
 	switch e.Op {
-	case lang.AND:
-		x := c.compileBool(e.X)
-		y := c.compileBool(e.Y)
+	case ir.Const:
+		v := e.K != 0
+		return func(*state) bool { return v }
+	case ir.Local:
+		slot := e.K
+		return func(st *state) bool { return st.slots[slot].b }
+	case ir.Not:
+		x := compileBool(e.X)
+		return func(st *state) bool { return !x(st) }
+	case ir.And:
+		x, y := compileBool(e.X), compileBool(e.Y)
 		return func(st *state) bool { return x(st) && y(st) }
-	case lang.OR:
-		x := c.compileBool(e.X)
-		y := c.compileBool(e.Y)
+	case ir.Or:
+		x, y := compileBool(e.X), compileBool(e.Y)
 		return func(st *state) bool { return x(st) || y(st) }
-	case lang.LT, lang.LTE, lang.GT, lang.GTE:
-		x := c.compileInt(e.X)
-		y := c.compileInt(e.Y)
+	case ir.Lt, ir.Le, ir.Gt, ir.Ge:
+		x, y := compileInt(e.X), compileInt(e.Y)
 		switch e.Op {
-		case lang.LT:
+		case ir.Lt:
 			return func(st *state) bool { return x(st) < y(st) }
-		case lang.LTE:
+		case ir.Le:
 			return func(st *state) bool { return x(st) <= y(st) }
-		case lang.GT:
+		case ir.Gt:
 			return func(st *state) bool { return x(st) > y(st) }
 		default:
 			return func(st *state) bool { return x(st) >= y(st) }
 		}
-	case lang.EQ, lang.NEQ:
-		eq := c.compileEq(e)
-		if e.Op == lang.EQ {
-			return eq
+	case ir.EqInt, ir.EqBool, ir.EqPkt, ir.EqSbf:
+		eq := compileEq(e)
+		if e.K == 1 {
+			return func(st *state) bool { return !eq(st) }
 		}
-		return func(st *state) bool { return !eq(st) }
+		return eq
+	case ir.SbfBool:
+		recv := compileSbf(e.X)
+		prop := runtime.SubflowBoolProp(e.K)
+		return func(st *state) bool { return recv(st).Bool(prop) }
+	case ir.HasWindow:
+		recv, arg := compileSbf(e.X), compilePkt(e.Y)
+		return func(st *state) bool { return recv(st).HasWindowFor(arg(st)) }
+	case ir.SentOn:
+		recv, arg := compilePkt(e.X), compileSbf(e.Y)
+		return func(st *state) bool { return recv(st).SentOn(arg(st)) }
+	case ir.ListEmpty:
+		iter := compileList(e.X)
+		return func(st *state) bool { return len(iter(st)) == 0 }
+	case ir.QEmpty:
+		q := compileQueue(e.Q)
+		return func(st *state) bool { return q.top(st) == nil }
 	}
-	panic(fmt.Sprintf("compile: unhandled bool binary %s", e.Op))
+	panic(fmt.Sprintf("compile: unhandled bool op %d", e.Op))
 }
 
-func (c *compiler) compileEq(e *lang.BinaryExpr) boolFn {
-	// Operand type drives the comparison. NULL literals were typed by
-	// the checker to match the other side.
-	t := c.info.TypeOf(e.X)
-	if t == types.Invalid {
-		t = c.info.TypeOf(e.Y)
-	}
-	switch t {
-	case types.Packet:
-		x := c.compilePkt(e.X)
-		y := c.compilePkt(e.Y)
+// compileEq compiles an equality of the operand type its op names.
+func compileEq(e *ir.Expr) boolFn {
+	switch e.Op {
+	case ir.EqPkt:
+		x, y := compilePkt(e.X), compilePkt(e.Y)
 		return func(st *state) bool { return x(st) == y(st) }
-	case types.Subflow:
-		x := c.compileSbf(e.X)
-		y := c.compileSbf(e.Y)
+	case ir.EqSbf:
+		x, y := compileSbf(e.X), compileSbf(e.Y)
 		return func(st *state) bool { return x(st) == y(st) }
-	case types.Bool:
-		x := c.compileBool(e.X)
-		y := c.compileBool(e.Y)
-		return func(st *state) bool { return x(st) == y(st) }
-	default:
-		x := c.compileInt(e.X)
-		y := c.compileInt(e.Y)
+	case ir.EqBool:
+		x, y := compileBool(e.X), compileBool(e.Y)
 		return func(st *state) bool { return x(st) == y(st) }
 	}
+	x, y := compileInt(e.X), compileInt(e.Y)
+	return func(st *state) bool { return x(st) == y(st) }
 }
 
 // ---- Packet expressions ----
 
-func (c *compiler) compilePkt(e lang.Expr) pktFn {
-	switch e := e.(type) {
-	case *lang.NullLit:
+func compilePkt(e *ir.Expr) pktFn {
+	switch e.Op {
+	case ir.Const:
 		return func(*state) *runtime.PacketView { return nil }
-	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
+	case ir.Local:
+		slot := e.K
 		return func(st *state) *runtime.PacketView { return st.slots[slot].pkt }
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberTop:
-			q := c.compileQueue(e.Recv)
-			return func(st *state) *runtime.PacketView { return q(st).top(st) }
-		case types.MemberPop:
-			q := c.compileQueue(e.Recv)
-			site := int32(e.Position().Line)
-			return func(st *state) *runtime.PacketView {
-				qv := q(st)
-				p := qv.top(st)
-				if p != nil {
-					st.env.Site = site
-					st.env.Pop(qv.base.ID(), p)
+	case ir.QTop:
+		q := compileQueue(e.Q)
+		return func(st *state) *runtime.PacketView { return q.top(st) }
+	case ir.QPop:
+		q := compileQueue(e.Q)
+		site := e.Site
+		return func(st *state) *runtime.PacketView {
+			p := q.top(st)
+			if p != nil {
+				st.env.Site = site
+				st.env.Pop(q.id, p)
+			}
+			return p
+		}
+	case ir.QMin, ir.QMax:
+		q := compileQueue(e.Q)
+		slot := e.Fn.Slot
+		key := compileInt(e.Fn.Body)
+		greatest := e.Op == ir.QMax
+		return func(st *state) *runtime.PacketView {
+			var best *runtime.PacketView
+			var bestKey int64
+			q.each(st, func(p *runtime.PacketView) bool {
+				st.slots[slot] = value{pkt: p}
+				k := key(st)
+				if best == nil || ir.Beats(greatest, k, bestKey) {
+					best, bestKey = p, k
 				}
-				return p
-			}
-		case types.MemberMin, types.MemberMax:
-			q := c.compileQueue(e.Recv)
-			lam := e.Args[0].(*lang.Lambda)
-			slot := c.info.Defs[lam].Slot
-			key := c.compileInt(lam.Body)
-			max := m.Kind == types.MemberMax
-			return func(st *state) *runtime.PacketView {
-				var best *runtime.PacketView
-				var bestKey int64
-				q(st).each(st, func(p *runtime.PacketView) bool {
-					st.slots[slot] = value{pkt: p}
-					k := key(st)
-					if best == nil || (max && k > bestKey) || (!max && k < bestKey) {
-						best, bestKey = p, k
-					}
-					return true
-				})
-				return best
-			}
+				return true
+			})
+			return best
 		}
 	}
-	panic(fmt.Sprintf("compile: unhandled packet expression %T (%s)", e, lang.FormatExpr(e)))
+	panic(fmt.Sprintf("compile: unhandled packet op %d", e.Op))
 }
 
 // ---- Subflow expressions ----
 
-func (c *compiler) compileSbf(e lang.Expr) sbfFn {
-	switch e := e.(type) {
-	case *lang.NullLit:
+func compileSbf(e *ir.Expr) sbfFn {
+	switch e.Op {
+	case ir.Const:
 		return func(*state) *runtime.SubflowView { return nil }
-	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
+	case ir.Local:
+		slot := e.K
 		return func(st *state) *runtime.SubflowView { return st.slots[slot].sbf }
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberMin, types.MemberMax:
-			iter := c.compileList(e.Recv)
-			lam := e.Args[0].(*lang.Lambda)
-			slot := c.info.Defs[lam].Slot
-			key := c.compileInt(lam.Body)
-			max := m.Kind == types.MemberMax
-			return func(st *state) *runtime.SubflowView {
-				var best *runtime.SubflowView
-				var bestKey int64
-				for _, sbf := range iter(st) {
-					st.slots[slot] = value{sbf: sbf}
-					k := key(st)
-					if best == nil || (max && k > bestKey) || (!max && k < bestKey) {
-						best, bestKey = sbf, k
-					}
+	case ir.ListMin, ir.ListMax:
+		iter := compileList(e.X)
+		slot := e.Fn.Slot
+		key := compileInt(e.Fn.Body)
+		greatest := e.Op == ir.ListMax
+		return func(st *state) *runtime.SubflowView {
+			var best *runtime.SubflowView
+			var bestKey int64
+			for _, sbf := range iter(st) {
+				st.slots[slot] = value{sbf: sbf}
+				k := key(st)
+				if best == nil || ir.Beats(greatest, k, bestKey) {
+					best, bestKey = sbf, k
 				}
-				return best
 			}
-		case types.MemberGet:
-			iter := c.compileList(e.Recv)
-			idx := c.compileInt(e.Args[0])
-			return func(st *state) *runtime.SubflowView {
-				list := iter(st)
-				n := int64(len(list))
-				if n == 0 {
-					return nil
-				}
-				// GET wraps out-of-range indices: graceful by design.
-				i := ((idx(st) % n) + n) % n
-				return list[i]
+			return best
+		}
+	case ir.ListGet:
+		iter := compileList(e.X)
+		idx := compileInt(e.Y)
+		return func(st *state) *runtime.SubflowView {
+			list := iter(st)
+			if len(list) == 0 {
+				return nil
 			}
+			return list[ir.Wrap(idx(st), int64(len(list)))]
 		}
 	}
-	panic(fmt.Sprintf("compile: unhandled subflow expression %T (%s)", e, lang.FormatExpr(e)))
+	panic(fmt.Sprintf("compile: unhandled subflow op %d", e.Op))
 }
 
 // ---- Subflow lists ----
 
-func (c *compiler) compileList(e lang.Expr) listFn {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
+func compileList(e *ir.Expr) listFn {
+	switch e.Op {
+	case ir.Subflows:
+		return func(st *state) []*runtime.SubflowView { return st.env.SubflowViews }
+	case ir.Local:
+		slot := e.K
+		return func(st *state) []*runtime.SubflowView { return st.slots[slot].list }
+	case ir.ListFilter:
+		inner := compileList(e.X)
+		slot := e.Fn.Slot
+		pred := compileBool(e.Fn.Body)
 		return func(st *state) []*runtime.SubflowView {
-			return st.env.SubflowViews
-		}
-	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
-		return func(st *state) []*runtime.SubflowView {
-			return st.slots[slot].list
-		}
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		if m.Kind == types.MemberFilter {
-			inner := c.compileList(e.Recv)
-			lam := e.Args[0].(*lang.Lambda)
-			slot := c.info.Defs[lam].Slot
-			pred := c.compileBool(lam.Body)
-			return func(st *state) []*runtime.SubflowView {
-				src := inner(st)
-				start := len(st.arena)
-				for _, sbf := range src {
-					st.slots[slot] = value{sbf: sbf}
-					if pred(st) {
-						st.arena = append(st.arena, sbf)
-					}
-				}
-				return st.arena[start:len(st.arena):len(st.arena)]
-			}
-		}
-	}
-	panic(fmt.Sprintf("compile: unhandled subflow list expression %T (%s)", e, lang.FormatExpr(e)))
-}
-
-// ---- Queue expressions ----
-
-func (c *compiler) compileQueue(e lang.Expr) queueFn {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		id := e.Kind
-		return func(st *state) queueVal {
-			switch id {
-			case lang.EntityQ:
-				return queueVal{base: st.env.SendQ}
-			case lang.EntityQU:
-				return queueVal{base: st.env.UnackedQ}
-			default:
-				return queueVal{base: st.env.ReinjectQ}
-			}
-		}
-	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
-		return func(st *state) queueVal { return st.slots[slot].q }
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		if m.Kind == types.MemberFilter {
-			inner := c.compileQueue(e.Recv)
-			lam := e.Args[0].(*lang.Lambda)
-			slot := c.info.Defs[lam].Slot
-			body := c.compileBool(lam.Body)
-			pred := func(st *state, p *runtime.PacketView) bool {
-				st.slots[slot] = value{pkt: p}
-				return body(st)
-			}
-			if staticChainPreds(c.info, e.Recv) {
-				// The receiver chain is statically known (entities and
-				// nested filters only), so the predicate slice can be
-				// composed once at compile time: zero per-execution
-				// allocations.
-				preds := c.staticPreds(e)
-				return func(st *state) queueVal {
-					qv := inner(st)
-					return queueVal{base: qv.base, preds: preds}
+			src := inner(st)
+			start := len(st.arena)
+			for _, sbf := range src {
+				st.slots[slot] = value{sbf: sbf}
+				if pred(st) {
+					st.arena = append(st.arena, sbf)
 				}
 			}
-			return func(st *state) queueVal {
-				qv := inner(st)
-				preds := make([]predFn, 0, len(qv.preds)+1)
-				preds = append(preds, qv.preds...)
-				preds = append(preds, pred)
-				return queueVal{base: qv.base, preds: preds}
-			}
+			return st.arena[start:len(st.arena):len(st.arena)]
 		}
 	}
-	panic(fmt.Sprintf("compile: unhandled queue expression %T (%s)", e, lang.FormatExpr(e)))
-}
-
-// staticChainPreds reports whether a queue expression's filter chain is
-// statically known (entities and nested filters, no variables).
-func staticChainPreds(info *types.Info, e lang.Expr) bool {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		return true
-	case *lang.MemberExpr:
-		if info.Members[e].Kind == types.MemberFilter {
-			return staticChainPreds(info, e.Recv)
-		}
-	}
-	return false
-}
-
-// staticPreds compiles a statically-known filter chain into one shared
-// predicate slice (outermost last). Each lambda is compiled exactly
-// once; the returned slice is immutable and shared by all executions.
-func (c *compiler) staticPreds(e lang.Expr) []predFn {
-	m, ok := e.(*lang.MemberExpr)
-	if !ok {
-		return nil
-	}
-	inner := c.staticPreds(m.Recv)
-	lam := m.Args[0].(*lang.Lambda)
-	slot := c.info.Defs[lam].Slot
-	body := c.compileBool(lam.Body)
-	pred := func(st *state, p *runtime.PacketView) bool {
-		st.slots[slot] = value{pkt: p}
-		return body(st)
-	}
-	out := make([]predFn, 0, len(inner)+1)
-	out = append(out, inner...)
-	out = append(out, pred)
-	return out
+	panic(fmt.Sprintf("compile: unhandled subflow list op %d", e.Op))
 }

@@ -209,7 +209,6 @@ type Browser struct {
 	delivered int64
 	m         Metrics
 	tpPending int
-	onInitial func(Metrics)
 }
 
 // NewBrowser attaches a browser to the connection's receiver.
@@ -243,10 +242,6 @@ func NewBrowser(conn *mptcp.Conn, page Page) *Browser {
 	return b
 }
 
-// OnInitialPage registers a callback fired when the initial page view
-// completes.
-func (b *Browser) OnInitialPage(fn func(Metrics)) { b.onInitial = fn }
-
 // Metrics returns the current measurement snapshot.
 func (b *Browser) Metrics() Metrics { return b.m }
 
@@ -257,7 +252,7 @@ func (b *Browser) onBytes(size int, at time.Duration) {
 		b.resolveThirdParty(at)
 	}
 	if b.delivered >= b.requiredEnd && b.m.InitialPage < 0 && b.tpPending == 0 {
-		b.initialDone(at)
+		b.m.InitialPage = at
 	}
 	if b.m.FullLoad < 0 && b.delivered >= b.totalEnd {
 		b.m.FullLoad = at
@@ -279,16 +274,9 @@ func (b *Browser) resolveThirdParty(at time.Duration) {
 			if b.tpPending == 0 {
 				b.m.ThirdPartyResolved = eng.Now()
 				if b.delivered >= b.requiredEnd && b.m.InitialPage < 0 {
-					b.initialDone(eng.Now())
+					b.m.InitialPage = eng.Now()
 				}
 			}
 		})
-	}
-}
-
-func (b *Browser) initialDone(at time.Duration) {
-	b.m.InitialPage = at
-	if b.onInitial != nil {
-		b.onInitial(b.m)
 	}
 }

@@ -1,31 +1,32 @@
 // Package interp is the tree-walking interpreter back-end for ProgMP
 // scheduler programs — the reference semantics ("alternative 1" in §4.1
-// of the paper). It is the baseline the compiled back-ends are verified
-// against.
+// of the paper). It walks the lowered IR (package ir) directly and is
+// the baseline the compiled back-ends are verified against.
 package interp
 
 import (
 	"fmt"
 	"sync"
 
-	"progmp/internal/lang"
+	"progmp/internal/lang/ir"
 	"progmp/internal/lang/types"
 	"progmp/internal/runtime"
 )
 
-// Interpreter executes a checked program directly over its AST. It is
+// Interpreter executes a lowered program directly over its IR. It is
 // safe for concurrent use with distinct environments; execution frames
 // are pooled so a steady-state execution does not allocate.
 type Interpreter struct {
-	info   *types.Info
+	prog   *ir.Program
 	frames sync.Pool
 }
 
 // New builds an interpreter for a checked program.
 func New(info *types.Info) *Interpreter {
-	it := &Interpreter{info: info}
+	prog := ir.Lower(info)
+	it := &Interpreter{prog: prog}
 	it.frames.New = func() any {
-		return &frame{info: info, slots: make([]value, info.NumSlots)}
+		return &frame{slots: make([]value, prog.NumSlots)}
 	}
 	return it
 }
@@ -37,54 +38,51 @@ func New(info *types.Info) *Interpreter {
 func (it *Interpreter) Exec(env *runtime.Env) {
 	f := it.frames.Get().(*frame)
 	f.env = env
-	for _, s := range it.info.Prog.Stmts {
-		if f.execStmt(s) {
-			break
-		}
-	}
+	f.block(it.prog.Body)
 	f.env = nil
 	for i := range f.slots {
 		f.slots[i] = value{}
 	}
-	f.preds = f.preds[:0]
 	f.sbfLists = f.sbfLists[:0]
 	it.frames.Put(f)
 }
 
 // value is the interpreter's dynamic value. Exactly one representation
-// is active, chosen by the static type of the producing expression.
+// is active, chosen by the static type of the producing expression;
+// bools are 0 or 1 in i.
 type value struct {
 	i    int64
-	b    bool
 	pkt  *runtime.PacketView
 	sbf  *runtime.SubflowView
 	list []*runtime.SubflowView
-	q    queueRef
 }
 
-// queueRef is a (possibly filtered) packet-queue value. Filters are
-// kept as (lambda, slot) pairs and applied lazily (late
-// materialization, §4.1); the pairs live in the frame's predicate
-// arena, so building a filtered queue value never allocates.
-type queueRef struct {
-	base  *runtime.Queue
-	preds []predEntry
+func b2v(b bool) value {
+	if b {
+		return value{i: 1}
+	}
+	return value{}
 }
 
-// predEntry is one deferred FILTER predicate: evaluate lam.Body with
-// the candidate packet bound to slot.
-type predEntry struct {
-	lam  *lang.Lambda
-	slot int
+type frame struct {
+	env   *runtime.Env
+	slots []value
+	// sbfLists is the per-execution arena for materialized subflow
+	// lists. Values produced during an execution hold capacity-capped
+	// sub-slices; entries are write-once, so a later arena growth
+	// (which copies) cannot invalidate them. It resets to length zero
+	// between executions, keeping its capacity — in steady state no
+	// execution allocates.
+	sbfLists []*runtime.SubflowView
 }
 
-// qEach visits visible, predicate-matching packets in queue order until
-// fn returns false.
-func (f *frame) qEach(qr queueRef, fn func(*runtime.PacketView) bool) {
-	qr.base.All(func(p *runtime.PacketView) bool {
-		for _, pe := range qr.preds {
-			f.slots[pe.slot] = value{pkt: p}
-			if !f.eval(pe.lam.Body).b {
+// qEach visits the visible packets of q that pass its predicates, in
+// queue order, until fn returns false.
+func (f *frame) qEach(q *ir.Queue, fn func(*runtime.PacketView) bool) {
+	f.env.Queue(q.ID).All(func(p *runtime.PacketView) bool {
+		for _, pred := range q.Preds {
+			f.slots[pred.Slot] = value{pkt: p}
+			if f.eval(pred.Body).i == 0 {
 				return true // skip, continue walking
 			}
 		}
@@ -94,319 +92,191 @@ func (f *frame) qEach(qr queueRef, fn func(*runtime.PacketView) bool) {
 }
 
 // qTop returns the first matching packet or nil.
-func (f *frame) qTop(qr queueRef) *runtime.PacketView {
+func (f *frame) qTop(q *ir.Queue) *runtime.PacketView {
 	var res *runtime.PacketView
-	f.qEach(qr, func(p *runtime.PacketView) bool {
+	f.qEach(q, func(p *runtime.PacketView) bool {
 		res = p
 		return false
 	})
 	return res
 }
 
-// qCount returns the number of matching packets.
-func (f *frame) qCount(qr queueRef) int64 {
-	var n int64
-	f.qEach(qr, func(*runtime.PacketView) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// qBytes sums the payload sizes of matching packets (queue.BYTES).
-func (f *frame) qBytes(qr queueRef) int64 {
-	var n int64
-	f.qEach(qr, func(p *runtime.PacketView) bool {
-		n += p.Ints[runtime.PktSize]
-		return true
-	})
-	return n
-}
-
-type frame struct {
-	info  *types.Info
-	env   *runtime.Env
-	slots []value
-	// preds and sbfLists are per-execution arenas for filter chains and
-	// materialized subflow lists. Values produced during an execution
-	// hold capacity-capped sub-slices; entries are write-once, so a
-	// later arena growth (which copies) cannot invalidate them. Both
-	// reset to length zero between executions, keeping their capacity —
-	// in steady state no execution allocates.
-	preds    []predEntry
-	sbfLists []*runtime.SubflowView
-}
-
-// execStmt executes s; it returns true when a RETURN unwinds.
-func (f *frame) execStmt(s lang.Stmt) bool {
-	switch s := s.(type) {
-	case *lang.BlockStmt:
-		for _, inner := range s.Stmts {
-			if f.execStmt(inner) {
+// block executes stmts; it returns true when a RETURN unwinds.
+func (f *frame) block(stmts []ir.Stmt) bool {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *ir.If:
+			body := s.Else
+			if f.eval(s.Cond).i != 0 {
+				body = s.Then
+			}
+			if f.block(body) {
 				return true
 			}
-		}
-	case *lang.IfStmt:
-		if f.eval(s.Cond).b {
-			for _, inner := range s.Then.Stmts {
-				if f.execStmt(inner) {
+		case *ir.Let:
+			f.slots[s.Slot] = f.eval(s.Init)
+		case *ir.Foreach:
+			for _, sbf := range f.eval(s.List).list {
+				f.slots[s.Slot] = value{sbf: sbf}
+				if f.block(s.Body) {
 					return true
 				}
 			}
-		} else if s.Else != nil {
-			return f.execStmt(s.Else)
-		}
-	case *lang.VarDecl:
-		sym := f.info.Defs[s]
-		f.slots[sym.Slot] = f.eval(s.Init)
-	case *lang.ForeachStmt:
-		list := f.eval(s.Iter).list
-		sym := f.info.Defs[s]
-		for _, sbf := range list {
-			f.slots[sym.Slot] = value{sbf: sbf}
-			for _, inner := range s.Body.Stmts {
-				if f.execStmt(inner) {
-					return true
-				}
+		case *ir.Set:
+			if v := f.eval(s.Value).i; s.Global {
+				f.env.SetGlobal(s.Reg, v)
+			} else {
+				f.env.SetReg(s.Reg, v)
 			}
+		case *ir.Push:
+			target := f.eval(s.Target).sbf
+			pkt := f.eval(s.Pkt).pkt
+			f.env.Site = s.Site
+			f.env.Push(target, pkt)
+		case *ir.Drop:
+			pkt := f.eval(s.Pkt).pkt
+			f.env.Site = s.Site
+			f.env.Drop(pkt)
+		case *ir.Return:
+			return true
 		}
-	case *lang.SetStmt:
-		f.env.SetReg(s.Reg, f.eval(s.Value).i)
-	case *lang.GSetStmt:
-		f.env.SetGlobal(s.Reg, f.eval(s.Value).i)
-	case *lang.PushStmt:
-		target := f.eval(s.Target).sbf
-		pkt := f.eval(s.Arg).pkt
-		f.env.Site = int32(s.PushAt.Line)
-		f.env.Push(target, pkt)
-	case *lang.DropStmt:
-		pkt := f.eval(s.Arg).pkt
-		f.env.Site = int32(s.DropPos.Line)
-		f.env.Drop(pkt)
-	case *lang.ReturnStmt:
-		return true
 	}
 	return false
 }
 
-func (f *frame) eval(e lang.Expr) value {
-	switch e := e.(type) {
-	case *lang.NumberLit:
-		return value{i: e.Val}
-	case *lang.BoolLit:
-		return value{b: e.Val}
-	case *lang.NullLit:
-		return value{} // nil packet and nil subflow alike
-	case *lang.RegExpr:
-		return value{i: f.env.Reg(e.Index)}
-	case *lang.GlobalExpr:
-		return value{i: f.env.Global(e.Index)}
-	case *lang.Ident:
-		return f.slots[f.info.Uses[e].Slot]
-	case *lang.EntityExpr:
-		switch e.Kind {
-		case lang.EntitySubflows:
-			return value{list: f.env.SubflowViews}
-		case lang.EntityQ:
-			return value{q: queueRef{base: f.env.SendQ}}
-		case lang.EntityQU:
-			return value{q: queueRef{base: f.env.UnackedQ}}
-		case lang.EntityRQ:
-			return value{q: queueRef{base: f.env.ReinjectQ}}
-		}
-	case *lang.UnaryExpr:
-		x := f.eval(e.X)
-		if e.Op == lang.NOT {
-			return value{b: !x.b}
-		}
-		return value{i: -x.i}
-	case *lang.BinaryExpr:
-		return f.evalBinary(e)
-	case *lang.MemberExpr:
-		return f.evalMember(e)
-	}
-	//progmp:ignore hotpath cold panic: admitted programs have no unhandled expressions
-	panic(fmt.Sprintf("interp: unhandled expression %T", e))
-}
-
-func (f *frame) evalBinary(e *lang.BinaryExpr) value {
-	// Short-circuit boolean operators.
+func (f *frame) eval(e *ir.Expr) value {
 	switch e.Op {
-	case lang.AND:
-		if !f.eval(e.X).b {
-			return value{b: false}
-		}
-		return value{b: f.eval(e.Y).b}
-	case lang.OR:
-		if f.eval(e.X).b {
-			return value{b: true}
-		}
-		return value{b: f.eval(e.Y).b}
-	}
-	x := f.eval(e.X)
-	y := f.eval(e.Y)
-	switch e.Op {
-	case lang.PLUS:
-		return value{i: x.i + y.i}
-	case lang.MINUS:
-		return value{i: x.i - y.i}
-	case lang.STAR:
-		return value{i: x.i * y.i}
-	case lang.SLASH:
-		// Division by zero yields 0: no exceptions by design (§3.3).
-		if y.i == 0 {
-			return value{i: 0}
-		}
-		return value{i: x.i / y.i}
-	case lang.PERCENT:
-		if y.i == 0 {
-			return value{i: 0}
-		}
-		return value{i: x.i % y.i}
-	case lang.LT:
-		return value{b: x.i < y.i}
-	case lang.LTE:
-		return value{b: x.i <= y.i}
-	case lang.GT:
-		return value{b: x.i > y.i}
-	case lang.GTE:
-		return value{b: x.i >= y.i}
-	case lang.EQ, lang.NEQ:
-		eq := f.valuesEqual(e, x, y)
-		if e.Op == lang.NEQ {
-			eq = !eq
-		}
-		return value{b: eq}
-	}
-	//progmp:ignore hotpath cold panic: admitted programs have no unhandled operators
-	panic(fmt.Sprintf("interp: unhandled binary op %s", e.Op))
-}
-
-func (f *frame) valuesEqual(e *lang.BinaryExpr, x, y value) bool {
-	switch f.info.TypeOf(e.X) {
-	case types.Packet:
-		return x.pkt == y.pkt
-	case types.Subflow:
-		return x.sbf == y.sbf
-	case types.Bool:
-		return x.b == y.b
-	default:
-		return x.i == y.i
-	}
-}
-
-func (f *frame) evalMember(e *lang.MemberExpr) value {
-	m := f.info.Members[e]
-	recv := f.eval(e.Recv)
-	switch m.Kind {
-	case types.MemberSbfInt:
-		if recv.sbf == nil {
-			return value{} // graceful NULL handling
-		}
-		return value{i: recv.sbf.Ints[m.SbfInt]}
-	case types.MemberSbfBool:
-		if recv.sbf == nil {
+	case ir.Const:
+		return value{i: e.K}
+	case ir.Reg:
+		return value{i: f.env.Reg(int(e.K))}
+	case ir.Global:
+		return value{i: f.env.Global(int(e.K))}
+	case ir.Local:
+		return f.slots[e.K]
+	case ir.Neg:
+		return value{i: -f.eval(e.X).i}
+	case ir.Not:
+		return value{i: f.eval(e.X).i ^ 1}
+	case ir.And:
+		if f.eval(e.X).i == 0 {
 			return value{}
 		}
-		return value{b: recv.sbf.Bools[m.SbfBool]}
-	case types.MemberHasWindowFor:
-		arg := f.eval(e.Args[0])
-		return value{b: recv.sbf.HasWindowFor(arg.pkt)}
-	case types.MemberPktInt:
-		if recv.pkt == nil {
-			return value{}
+		return f.eval(e.Y)
+	case ir.Or:
+		if f.eval(e.X).i != 0 {
+			return value{i: 1}
 		}
-		return value{i: recv.pkt.Ints[m.PktInt]}
-	case types.MemberSentOn:
-		arg := f.eval(e.Args[0])
-		return value{b: recv.pkt.SentOn(arg.sbf)}
-	case types.MemberFilter:
-		lam := e.Args[0].(*lang.Lambda)
-		sym := f.info.Defs[lam]
-		if m.RecvType == types.SubflowList {
-			start := len(f.sbfLists)
-			for _, sbf := range recv.list {
-				f.slots[sym.Slot] = value{sbf: sbf}
-				if f.eval(lam.Body).b {
-					//progmp:ignore hotpath amortized: pooled frame retains arena capacity
-					f.sbfLists = append(f.sbfLists, sbf)
-				}
+		return f.eval(e.Y)
+	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Mod, ir.Lt, ir.Le, ir.Gt, ir.Ge:
+		return arith(e.Op, f.eval(e.X).i, f.eval(e.Y).i)
+	case ir.EqInt, ir.EqBool:
+		return b2v((f.eval(e.X).i == f.eval(e.Y).i) != (e.K == 1))
+	case ir.EqPkt:
+		return b2v((f.eval(e.X).pkt == f.eval(e.Y).pkt) != (e.K == 1))
+	case ir.EqSbf:
+		return b2v((f.eval(e.X).sbf == f.eval(e.Y).sbf) != (e.K == 1))
+	case ir.SbfInt:
+		return value{i: f.eval(e.X).sbf.Int(runtime.SubflowIntProp(e.K))}
+	case ir.SbfBool:
+		return b2v(f.eval(e.X).sbf.Bool(runtime.SubflowBoolProp(e.K)))
+	case ir.PktInt:
+		return value{i: f.eval(e.X).pkt.Int(runtime.PacketIntProp(e.K))}
+	case ir.HasWindow:
+		return b2v(f.eval(e.X).sbf.HasWindowFor(f.eval(e.Y).pkt))
+	case ir.SentOn:
+		return b2v(f.eval(e.X).pkt.SentOn(f.eval(e.Y).sbf))
+	case ir.Subflows:
+		return value{list: f.env.SubflowViews}
+	case ir.ListFilter:
+		start := len(f.sbfLists)
+		for _, sbf := range f.eval(e.X).list {
+			f.slots[e.Fn.Slot] = value{sbf: sbf}
+			if f.eval(e.Fn.Body).i != 0 {
+				//progmp:ignore hotpath amortized: pooled frame retains arena capacity
+				f.sbfLists = append(f.sbfLists, sbf)
 			}
-			return value{list: f.sbfLists[start:len(f.sbfLists):len(f.sbfLists)]}
 		}
-		// Extend the chain at the arena tail: the receiver's pairs are
-		// copied so chains through queue variables stay intact.
-		qr := recv.q
-		start := len(f.preds)
-		//progmp:ignore hotpath amortized: pooled frame retains arena capacity
-		f.preds = append(f.preds, qr.preds...)
-		//progmp:ignore hotpath amortized: pooled frame retains arena capacity
-		f.preds = append(f.preds, predEntry{lam: lam, slot: sym.Slot})
-		return value{q: queueRef{base: qr.base, preds: f.preds[start:len(f.preds):len(f.preds)]}}
-	case types.MemberMin, types.MemberMax:
-		return f.evalMinMax(e, m, recv)
-	case types.MemberTop:
-		return value{pkt: f.qTop(recv.q)}
-	case types.MemberPop:
-		p := f.qTop(recv.q)
-		if p != nil {
-			f.env.Site = int32(e.Position().Line)
-			f.env.Pop(recv.q.base.ID(), p)
-		}
-		return value{pkt: p}
-	case types.MemberEmpty:
-		if m.RecvType == types.SubflowList {
-			return value{b: len(recv.list) == 0}
-		}
-		return value{b: f.qTop(recv.q) == nil}
-	case types.MemberCount:
-		if m.RecvType == types.SubflowList {
-			return value{i: int64(len(recv.list))}
-		}
-		return value{i: f.qCount(recv.q)}
-	case types.MemberBytes:
-		return value{i: f.qBytes(recv.q)}
-	case types.MemberGet:
-		idx := f.eval(e.Args[0]).i
-		n := int64(len(recv.list))
-		if n == 0 {
-			return value{}
-		}
-		// Out-of-range indices wrap: graceful by design.
-		idx = ((idx % n) + n) % n
-		return value{sbf: recv.list[idx]}
-	}
-	//progmp:ignore hotpath cold panic: admitted programs have no unhandled members
-	panic(fmt.Sprintf("interp: unhandled member %s", e.Name))
-}
-
-// evalMinMax selects the element with minimal (or maximal) key; ties
-// resolve to the earliest element, and empty collections yield NULL.
-func (f *frame) evalMinMax(e *lang.MemberExpr, m *types.Member, recv value) value {
-	lam := e.Args[0].(*lang.Lambda)
-	sym := f.info.Defs[lam]
-	max := m.Kind == types.MemberMax
-	if m.RecvType == types.SubflowList {
+		return value{list: f.sbfLists[start:len(f.sbfLists):len(f.sbfLists)]}
+	case ir.ListMin, ir.ListMax:
 		var best *runtime.SubflowView
 		var bestKey int64
-		for _, sbf := range recv.list {
-			f.slots[sym.Slot] = value{sbf: sbf}
-			key := f.eval(lam.Body).i
-			if best == nil || (max && key > bestKey) || (!max && key < bestKey) {
+		for _, sbf := range f.eval(e.X).list {
+			f.slots[e.Fn.Slot] = value{sbf: sbf}
+			key := f.eval(e.Fn.Body).i
+			if best == nil || ir.Beats(e.Op == ir.ListMax, key, bestKey) {
 				best, bestKey = sbf, key
 			}
 		}
 		return value{sbf: best}
-	}
-	var best *runtime.PacketView
-	var bestKey int64
-	f.qEach(recv.q, func(p *runtime.PacketView) bool {
-		f.slots[sym.Slot] = value{pkt: p}
-		key := f.eval(lam.Body).i
-		if best == nil || (max && key > bestKey) || (!max && key < bestKey) {
-			best, bestKey = p, key
+	case ir.ListEmpty:
+		return b2v(len(f.eval(e.X).list) == 0)
+	case ir.ListCount:
+		return value{i: int64(len(f.eval(e.X).list))}
+	case ir.ListGet:
+		list := f.eval(e.X).list
+		idx := f.eval(e.Y).i
+		if len(list) == 0 {
+			return value{}
 		}
-		return true
-	})
-	return value{pkt: best}
+		return value{sbf: list[ir.Wrap(idx, int64(len(list)))]}
+	case ir.QTop:
+		return value{pkt: f.qTop(e.Q)}
+	case ir.QPop:
+		p := f.qTop(e.Q)
+		if p != nil {
+			f.env.Site = e.Site
+			f.env.Pop(e.Q.ID, p)
+		}
+		return value{pkt: p}
+	case ir.QEmpty:
+		return b2v(f.qTop(e.Q) == nil)
+	case ir.QCount, ir.QBytes:
+		var n int64
+		f.qEach(e.Q, func(p *runtime.PacketView) bool {
+			if e.Op == ir.QCount {
+				n++
+			} else {
+				n += p.Ints[runtime.PktSize]
+			}
+			return true
+		})
+		return value{i: n}
+	case ir.QMin, ir.QMax:
+		var best *runtime.PacketView
+		var bestKey int64
+		f.qEach(e.Q, func(p *runtime.PacketView) bool {
+			f.slots[e.Fn.Slot] = value{pkt: p}
+			key := f.eval(e.Fn.Body).i
+			if best == nil || ir.Beats(e.Op == ir.QMax, key, bestKey) {
+				best, bestKey = p, key
+			}
+			return true
+		})
+		return value{pkt: best}
+	}
+	//progmp:ignore hotpath cold panic: lowered programs have no other ops
+	panic(fmt.Sprintf("interp: unhandled op %d", e.Op))
+}
+
+func arith(op ir.Op, x, y int64) value {
+	switch op {
+	case ir.Add:
+		return value{i: x + y}
+	case ir.Sub:
+		return value{i: x - y}
+	case ir.Mul:
+		return value{i: x * y}
+	case ir.Div:
+		return value{i: ir.DivInt(x, y)}
+	case ir.Mod:
+		return value{i: ir.ModInt(x, y)}
+	case ir.Lt:
+		return b2v(x < y)
+	case ir.Le:
+		return b2v(x <= y)
+	case ir.Gt:
+		return b2v(x > y)
+	}
+	return b2v(x >= y)
 }

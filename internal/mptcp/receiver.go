@@ -123,9 +123,6 @@ func (r *Receiver) AddDeliveryHook(fn func(seq int64, size int, at time.Duration
 	}
 }
 
-// NextMetaSeq exposes the in-order delivery frontier.
-func (r *Receiver) NextMetaSeq() int64 { return r.nextMetaSeq }
-
 func (r *Receiver) addSubflow() {
 	r.perSbf = append(r.perSbf, &sbfRx{
 		held:         make(map[int64]rxSeg),

@@ -599,9 +599,3 @@ func (s *Subflow) avgRTT() time.Duration {
 	}
 	return s.rttSum / time.Duration(s.rttCount)
 }
-
-// InRecovery exposes the loss-recovery state (tests/diagnostics).
-func (s *Subflow) InRecovery() bool { return s.inRecovery }
-
-// TSQForTest exposes the TSQ condition (tests/diagnostics).
-func (s *Subflow) TSQForTest() bool { return s.tsqThrottled() }

@@ -188,6 +188,17 @@ type PacketView struct {
 	pos int32
 }
 
+// Int reads an integer property; a NULL packet reads 0.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (p *PacketView) Int(prop PacketIntProp) int64 {
+	if p == nil {
+		return 0
+	}
+	return p.Ints[prop]
+}
+
 // SentOn reports whether the packet was ever transmitted on sbf.
 //
 //progmp:hotpath
@@ -211,6 +222,25 @@ type SubflowView struct {
 	// RWndFreeBytes is how many additional payload bytes the peer's
 	// receive window can accommodate; HAS_WINDOW_FOR compares against it.
 	RWndFreeBytes int64
+}
+
+// Int reads an integer property; a NULL subflow reads 0.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (s *SubflowView) Int(prop SubflowIntProp) int64 {
+	if s == nil {
+		return 0
+	}
+	return s.Ints[prop]
+}
+
+// Bool reads a boolean property; a NULL subflow reads false.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (s *SubflowView) Bool(prop SubflowBoolProp) bool {
+	return s != nil && s.Bools[prop]
 }
 
 // HasWindowFor reports whether the receive window can accommodate p

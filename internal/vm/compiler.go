@@ -3,13 +3,14 @@ package vm
 import (
 	"fmt"
 
-	"progmp/internal/lang"
+	"progmp/internal/lang/ir"
 	"progmp/internal/lang/types"
 	"progmp/internal/runtime"
 )
 
 // irIns is an instruction over unlimited virtual registers, produced by
-// the cross-compiler and consumed by the register allocator.
+// the cross-compiler from the lowered program (package ir) and consumed
+// by the register allocator.
 type irIns struct {
 	op   Op
 	dst  int
@@ -41,25 +42,22 @@ func Compile(info *types.Info, opts Options) (*Program, error) {
 	if opts.SubflowCount >= 0 && opts.SubflowCount > runtime.MaxSubflows {
 		return nil, fmt.Errorf("vm: cannot specialize for %d subflows (max %d)", opts.SubflowCount, runtime.MaxSubflows)
 	}
-	c := &comp{
-		info:      info,
-		syms:      make(map[*types.Symbol]int),
-		queueDefs: make(map[*types.Symbol]lang.Expr),
-		constN:    opts.SubflowCount,
+	lowered := ir.Lower(info)
+	c := &comp{slots: make([]int, lowered.NumSlots), constN: opts.SubflowCount}
+	for i := range c.slots {
+		c.slots[i] = -1
 	}
-	for _, s := range info.Prog.Stmts {
-		c.stmt(s)
-	}
+	c.block(lowered.Body)
 	c.emit(OpReturn, 0, 0, 0, 0)
 	if !opts.DisableOptimizations {
-		c.ir = optimize(c.ir)
+		c.code = optimize(c.code)
 	}
 	// Optimization may introduce vregs (hoisted canonical constants).
 	nv := c.nv
-	if mv := maxVreg(c.ir); mv > nv {
+	if mv := maxVreg(c.code); mv > nv {
 		nv = mv
 	}
-	insns, spills, err := allocate(c.ir, nv)
+	insns, spills, err := allocate(c.code, nv)
 	if err != nil {
 		return nil, fmt.Errorf("vm: register allocation: %w", err)
 	}
@@ -81,16 +79,13 @@ func MustCompile(info *types.Info) *Program {
 }
 
 type comp struct {
-	info *types.Info
-	ir   []irIns
+	code []irIns
 	nv   int
-	// syms maps int/bool/packet/subflow/list symbols to their vreg.
-	syms map[*types.Symbol]int
-	// queueDefs maps queue-typed symbols to their defining expression;
-	// chains are inlined at use sites (single assignment + pure
-	// predicates make this sound).
-	queueDefs map[*types.Symbol]lang.Expr
-	constN    int
+	// slots maps each frame slot to the vreg holding its value, -1
+	// before the first binding. Queue-typed VARs have no slot value:
+	// the lowering already resolved their chains.
+	slots  []int
+	constN int
 }
 
 func (c *comp) newv() int {
@@ -100,21 +95,21 @@ func (c *comp) newv() int {
 }
 
 func (c *comp) emit(op Op, dst, a, b int, k int64) int {
-	c.ir = append(c.ir, irIns{op: op, dst: dst, a: a, b: b, k: k})
-	return len(c.ir) - 1
+	c.code = append(c.code, irIns{op: op, dst: dst, a: a, b: b, k: k})
+	return len(c.code) - 1
 }
 
 // here returns the index of the next instruction to be emitted.
-func (c *comp) here() int { return len(c.ir) }
+func (c *comp) here() int { return len(c.code) }
 
 // patch fixes the jump at index at to target the next instruction.
 func (c *comp) patch(at int) {
-	c.ir[at].k = int64(len(c.ir) - at - 1)
+	c.code[at].k = int64(len(c.code) - at - 1)
 }
 
 // patchTo fixes the jump at index at to target instruction index to.
 func (c *comp) patchTo(at, to int) {
-	c.ir[at].k = int64(to - at - 1)
+	c.code[at].k = int64(to - at - 1)
 }
 
 // imm materializes a constant in a fresh vreg.
@@ -126,18 +121,18 @@ func (c *comp) imm(v int64) int {
 
 // ---- Statements ----
 
-func (c *comp) stmt(s lang.Stmt) {
+func (c *comp) block(stmts []ir.Stmt) {
+	for _, s := range stmts {
+		c.stmt(s)
+	}
+}
+
+func (c *comp) stmt(s ir.Stmt) {
 	switch s := s.(type) {
-	case *lang.BlockStmt:
-		for _, inner := range s.Stmts {
-			c.stmt(inner)
-		}
-	case *lang.IfStmt:
+	case *ir.If:
 		jfs := c.condJumps(s.Cond, false)
-		for _, inner := range s.Then.Stmts {
-			c.stmt(inner)
-		}
-		if s.Else == nil {
+		c.block(s.Then)
+		if len(s.Else) == 0 {
 			for _, j := range jfs {
 				c.patch(j)
 			}
@@ -147,54 +142,38 @@ func (c *comp) stmt(s lang.Stmt) {
 		for _, j := range jfs {
 			c.patch(j)
 		}
-		c.stmt(s.Else)
+		c.block(s.Else)
 		c.patch(jend)
-	case *lang.VarDecl:
-		sym := c.info.Defs[s]
-		switch sym.Type {
-		case types.Int:
-			c.syms[sym] = c.intExpr(s.Init)
-		case types.Bool:
-			c.syms[sym] = c.boolExpr(s.Init)
-		case types.Packet:
-			c.syms[sym] = c.pktExpr(s.Init)
-		case types.Subflow:
-			c.syms[sym] = c.sbfExpr(s.Init)
-		case types.SubflowList:
-			c.syms[sym] = c.listMask(s.Init)
-		case types.PacketQueue:
-			c.queueDefs[sym] = s.Init
-		}
-	case *lang.ForeachStmt:
-		sym := c.info.Defs[s]
-		mask := c.listMask(s.Iter)
+	case *ir.Let:
+		c.slots[s.Slot] = c.expr(s.Init)
+	case *ir.Foreach:
+		mask := c.expr(s.List)
 		c.forEachSubflowIdx(func(idx int) {
 			skip := c.emit(OpJbc, 0, mask, idx, 0)
 			// A fresh loop variable per unrolled iteration keeps each
 			// OpSbfRef single-assignment, so constant folding turns it
 			// into a hoistable constant handle.
 			loopVar := c.newv()
-			c.syms[sym] = loopVar
+			c.slots[s.Slot] = loopVar
 			c.emit(OpSbfRef, loopVar, idx, 0, 0)
-			for _, inner := range s.Body.Stmts {
-				c.stmt(inner)
-			}
+			c.block(s.Body)
 			c.patch(skip)
 		})
-	case *lang.SetStmt:
-		v := c.intExpr(s.Value)
-		c.emit(OpStoreReg, 0, v, 0, int64(s.Reg))
-	case *lang.GSetStmt:
-		v := c.intExpr(s.Value)
-		c.emit(OpStoreGlobal, 0, v, 0, int64(s.Reg))
-	case *lang.PushStmt:
-		target := c.sbfExpr(s.Target)
-		arg := c.pktExpr(s.Arg)
+	case *ir.Set:
+		v := c.expr(s.Value)
+		op := OpStoreReg
+		if s.Global {
+			op = OpStoreGlobal
+		}
+		c.emit(op, 0, v, 0, int64(s.Reg))
+	case *ir.Push:
+		target := c.expr(s.Target)
+		arg := c.expr(s.Pkt)
 		c.emit(OpPush, 0, target, arg, 0)
-	case *lang.DropStmt:
-		arg := c.pktExpr(s.Arg)
+	case *ir.Drop:
+		arg := c.expr(s.Pkt)
 		c.emit(OpDrop, 0, arg, 0, 0)
-	case *lang.ReturnStmt:
+	case *ir.Return:
 		c.emit(OpReturn, 0, 0, 0, 0)
 	default:
 		panic(fmt.Sprintf("vm: unhandled statement %T", s))
@@ -235,122 +214,123 @@ func (c *comp) subflowCount() int {
 	return dst
 }
 
-// ---- Constant folding ----
+// ---- Expressions ----
 
-// constEval folds pure constant integer expressions at compile time.
-func (c *comp) constEval(e lang.Expr) (int64, bool) {
-	switch e := e.(type) {
-	case *lang.NumberLit:
-		return e.Val, true
-	case *lang.UnaryExpr:
-		if e.Op == lang.MINUS {
-			if v, ok := c.constEval(e.X); ok {
-				return -v, true
-			}
-		}
-	case *lang.BinaryExpr:
-		x, okx := c.constEval(e.X)
-		if !okx {
-			return 0, false
-		}
-		y, oky := c.constEval(e.Y)
-		if !oky {
-			return 0, false
-		}
-		switch e.Op {
-		case lang.PLUS:
-			return x + y, true
-		case lang.MINUS:
-			return x - y, true
-		case lang.STAR:
-			return x * y, true
-		case lang.SLASH:
-			if y == 0 {
-				return 0, true
-			}
-			return x / y, true
-		case lang.PERCENT:
-			if y == 0 {
-				return 0, true
-			}
-			return x % y, true
-		}
-	}
-	return 0, false
+// valueOps maps the IR's pure value ops to their instruction.
+var valueOps = map[ir.Op]Op{
+	ir.Neg: OpNeg, ir.Not: OpNot,
+	ir.Add: OpAdd, ir.Sub: OpSub, ir.Mul: OpMul, ir.Div: OpDiv, ir.Mod: OpMod,
+	ir.Lt: OpLt, ir.Le: OpLe, ir.Gt: OpGt, ir.Ge: OpGe,
+	ir.SbfInt: OpSbfIntProp, ir.SbfBool: OpSbfBoolProp, ir.PktInt: OpPktProp,
+	ir.HasWindow: OpHasWnd, ir.SentOn: OpSentOn, ir.ListCount: OpPopcnt,
 }
 
-// ---- Int expressions ----
-
-func (c *comp) intExpr(e lang.Expr) int {
-	if v, ok := c.constEval(e); ok {
-		return c.imm(v)
-	}
-	switch e := e.(type) {
-	case *lang.RegExpr:
-		dst := c.newv()
-		c.emit(OpLoadReg, dst, 0, 0, int64(e.Index))
-		return dst
-	case *lang.GlobalExpr:
-		dst := c.newv()
-		c.emit(OpLoadGlobal, dst, 0, 0, int64(e.Index))
-		return dst
-	case *lang.Ident:
-		return c.syms[c.info.Uses[e]]
-	case *lang.UnaryExpr:
-		x := c.intExpr(e.X)
-		dst := c.newv()
-		c.emit(OpNeg, dst, x, 0, 0)
-		return dst
-	case *lang.BinaryExpr:
-		x := c.intExpr(e.X)
-		y := c.intExpr(e.Y)
-		dst := c.newv()
-		var op Op
-		switch e.Op {
-		case lang.PLUS:
-			op = OpAdd
-		case lang.MINUS:
-			op = OpSub
-		case lang.STAR:
-			op = OpMul
-		case lang.SLASH:
-			op = OpDiv
-		case lang.PERCENT:
-			op = OpMod
-		default:
-			panic(fmt.Sprintf("vm: unhandled int binary %s", e.Op))
+// expr compiles e into a vreg. Every value is a canonical int64: ints,
+// bools as 0/1, subflow and packet handles, and subflow lists as
+// membership masks, so one integer comparison implements every
+// equality.
+func (c *comp) expr(e *ir.Expr) int {
+	switch e.Op {
+	case ir.Const:
+		return c.imm(e.K)
+	case ir.Reg, ir.Global:
+		op := OpLoadReg
+		if e.Op == ir.Global {
+			op = OpLoadGlobal
 		}
-		c.emit(op, dst, x, y, 0)
+		dst := c.newv()
+		c.emit(op, dst, 0, 0, e.K)
 		return dst
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberSbfInt:
-			recv := c.sbfExpr(e.Recv)
-			dst := c.newv()
-			c.emit(OpSbfIntProp, dst, recv, 0, int64(m.SbfInt))
-			return dst
-		case types.MemberPktInt:
-			recv := c.pktExpr(e.Recv)
-			dst := c.newv()
-			c.emit(OpPktProp, dst, recv, 0, int64(m.PktInt))
-			return dst
-		case types.MemberCount:
-			if m.RecvType == types.SubflowList {
-				mask := c.listMask(e.Recv)
-				dst := c.newv()
-				c.emit(OpPopcnt, dst, mask, 0, 0)
-				return dst
+	case ir.Local:
+		return c.slots[e.K]
+	case ir.And, ir.Or:
+		// Short-circuit into a result vreg.
+		dst := c.newv()
+		x := c.expr(e.X)
+		c.emit(OpMov, dst, x, 0, 0)
+		var skip int
+		if e.Op == ir.And {
+			skip = c.emit(OpJz, 0, dst, 0, 0)
+		} else {
+			skip = c.emit(OpJnz, 0, dst, 0, 0)
+		}
+		y := c.expr(e.Y)
+		c.emit(OpMov, dst, y, 0, 0)
+		c.patch(skip)
+		return dst
+	case ir.EqInt, ir.EqBool, ir.EqPkt, ir.EqSbf:
+		x := c.expr(e.X)
+		y := c.expr(e.Y)
+		dst := c.newv()
+		if e.K == 1 {
+			c.emit(OpNe, dst, x, y, 0)
+		} else {
+			c.emit(OpEq, dst, x, y, 0)
+		}
+		return dst
+	case ir.Subflows:
+		if c.constN >= 0 {
+			var m int64
+			if c.constN > 0 {
+				m = int64((uint64(1) << uint(c.constN)) - 1)
 			}
-			return c.queueCount(e.Recv)
-		case types.MemberBytes:
-			return c.queueBytes(e.Recv)
+			return c.imm(m)
 		}
+		mask := c.imm(0)
+		c.forEachSubflowIdx(func(idx int) {
+			c.emit(OpBitSet, mask, mask, idx, 0)
+		})
+		return mask
+	case ir.ListFilter:
+		return c.listFilter(e)
+	case ir.ListMin, ir.ListMax:
+		return c.listMinMax(e)
+	case ir.ListGet:
+		return c.listGet(e)
+	case ir.ListEmpty, ir.QEmpty:
+		// EMPTY is a zero test on the mask or top-packet handle.
+		v := c.emptyOperand(e)
+		zero := c.imm(0)
+		dst := c.newv()
+		c.emit(OpEq, dst, v, zero, 0)
+		return dst
+	case ir.QTop:
+		return c.queueTop(e.Q)
+	case ir.QPop:
+		top := c.queueTop(e.Q)
+		skip := c.emit(OpJz, 0, top, 0, 0)
+		c.emit(OpPop, 0, top, 0, int64(e.Q.ID))
+		c.patch(skip)
+		return top
+	case ir.QCount:
+		return c.queueCount(e.Q)
+	case ir.QBytes:
+		return c.queueBytes(e.Q)
+	case ir.QMin, ir.QMax:
+		return c.queueMinMax(e)
 	}
-	panic(fmt.Sprintf("vm: unhandled int expression %s", lang.FormatExpr(e)))
+	op, ok := valueOps[e.Op]
+	if !ok {
+		panic(fmt.Sprintf("vm: unhandled op %d", e.Op))
+	}
+	x := c.expr(e.X)
+	y := 0
+	if e.Y != nil {
+		y = c.expr(e.Y)
+	}
+	dst := c.newv()
+	c.emit(op, dst, x, y, e.K)
+	return dst
 }
 
-// ---- Bool expressions ----
+// emptyOperand compiles the receiver an EMPTY tests against zero: the
+// list mask, or the queue's first matching packet.
+func (c *comp) emptyOperand(e *ir.Expr) int {
+	if e.Op == ir.ListEmpty {
+		return c.expr(e.X)
+	}
+	return c.queueTop(e.Q)
+}
 
 // condJumps compiles e in branch context: the emitted code jumps when
 // the condition's truth equals want and falls through otherwise. The
@@ -358,72 +338,58 @@ func (c *comp) intExpr(e lang.Expr) int {
 // the branch target. NOT and short-circuit AND/OR become pure control
 // flow — no boolean is materialized — and comparisons emit fused
 // compare-and-branch instructions directly.
-func (c *comp) condJumps(e lang.Expr, want bool) []int {
-	switch e := e.(type) {
-	case *lang.BoolLit:
-		if e.Val == want {
+func (c *comp) condJumps(e *ir.Expr, want bool) []int {
+	switch e.Op {
+	case ir.Const:
+		if (e.K != 0) == want {
 			return []int{c.emit(OpJmp, 0, 0, 0, 0)}
 		}
 		return nil
-	case *lang.UnaryExpr:
-		if e.Op == lang.NOT {
-			return c.condJumps(e.X, !want)
+	case ir.Not:
+		return c.condJumps(e.X, !want)
+	case ir.And, ir.Or:
+		// Jumping on the truth of an AND (dually, the falsity of an
+		// OR) must prove both operands: the first operand's
+		// complement jumps land on the overall fall-through.
+		if (e.Op == ir.And) == want {
+			around := c.condJumps(e.X, !want)
+			out := c.condJumps(e.Y, want)
+			for _, j := range around {
+				c.patch(j)
+			}
+			return out
 		}
-	case *lang.BinaryExpr:
-		switch e.Op {
-		case lang.AND, lang.OR:
-			// Jumping on the truth of an AND (dually, the falsity of an
-			// OR) must prove both operands: the first operand's
-			// complement jumps land on the overall fall-through.
-			if (e.Op == lang.AND) == want {
-				around := c.condJumps(e.X, !want)
-				out := c.condJumps(e.Y, want)
-				for _, j := range around {
-					c.patch(j)
-				}
-				return out
-			}
-			out := c.condJumps(e.X, want)
-			return append(out, c.condJumps(e.Y, want)...)
-		case lang.LT, lang.LTE, lang.GT, lang.GTE:
-			x := c.intExpr(e.X)
-			y := c.intExpr(e.Y)
-			return []int{c.emit(cmpJump(e.Op, want), 0, x, y, 0)}
-		case lang.EQ, lang.NEQ:
-			x := c.anyExpr(e.X)
-			y := c.anyExpr(e.Y)
-			op := OpJeq
-			if (e.Op == lang.EQ) != want {
-				op = OpJne
-			}
-			return []int{c.emit(op, 0, x, y, 0)}
+		out := c.condJumps(e.X, want)
+		return append(out, c.condJumps(e.Y, want)...)
+	case ir.Lt, ir.Le, ir.Gt, ir.Ge:
+		x := c.expr(e.X)
+		y := c.expr(e.Y)
+		return []int{c.emit(cmpJump(e.Op, want), 0, x, y, 0)}
+	case ir.EqInt, ir.EqBool, ir.EqPkt, ir.EqSbf:
+		x := c.expr(e.X)
+		y := c.expr(e.Y)
+		op := OpJeq
+		if (e.K == 0) != want {
+			op = OpJne
 		}
-	case *lang.MemberExpr:
-		if m := c.info.Members[e]; m.Kind == types.MemberSbfBool {
-			// The hottest predicate shape: test a subflow boolean
-			// property and branch, with no materialized 0/1.
-			recv := c.sbfExpr(e.Recv)
-			op := OpJsbnz
-			if !want {
-				op = OpJsbz
-			}
-			return []int{c.emit(op, 0, recv, int(m.SbfBool), 0)}
+		return []int{c.emit(op, 0, x, y, 0)}
+	case ir.SbfBool:
+		// The hottest predicate shape: test a subflow boolean
+		// property and branch, with no materialized 0/1.
+		recv := c.expr(e.X)
+		op := OpJsbnz
+		if !want {
+			op = OpJsbz
 		}
-		if c.info.Members[e].Kind == types.MemberEmpty {
-			// EMPTY is a zero test on the mask or top-packet handle.
-			var v int
-			if c.info.Members[e].RecvType == types.SubflowList {
-				v = c.listMask(e.Recv)
-			} else {
-				v = c.queueTop(e.Recv)
-			}
-			if want {
-				return []int{c.emit(OpJz, 0, v, 0, 0)}
-			}
-			return []int{c.emit(OpJnz, 0, v, 0, 0)}
+		return []int{c.emit(op, 0, recv, int(e.K), 0)}
+	case ir.ListEmpty, ir.QEmpty:
+		v := c.emptyOperand(e)
+		if want {
+			return []int{c.emit(OpJz, 0, v, 0, 0)}
 		}
+		return []int{c.emit(OpJnz, 0, v, 0, 0)}
 	}
-	v := c.boolExpr(e)
+	v := c.expr(e)
 	if want {
 		return []int{c.emit(OpJnz, 0, v, 0, 0)}
 	}
@@ -432,24 +398,24 @@ func (c *comp) condJumps(e lang.Expr, want bool) []int {
 
 // cmpJump maps an ordering comparison to the fused jump that is taken
 // when the comparison's truth equals want.
-func cmpJump(op lang.Kind, want bool) Op {
+func cmpJump(op ir.Op, want bool) Op {
 	switch op {
-	case lang.LT:
+	case ir.Lt:
 		if want {
 			return OpJlt
 		}
 		return OpJge
-	case lang.LTE:
+	case ir.Le:
 		if want {
 			return OpJle
 		}
 		return OpJgt
-	case lang.GT:
+	case ir.Gt:
 		if want {
 			return OpJgt
 		}
 		return OpJle
-	default: // lang.GTE
+	default: // ir.Ge
 		if want {
 			return OpJge
 		}
@@ -457,211 +423,73 @@ func cmpJump(op lang.Kind, want bool) Op {
 	}
 }
 
-func (c *comp) boolExpr(e lang.Expr) int {
-	switch e := e.(type) {
-	case *lang.BoolLit:
-		if e.Val {
-			return c.imm(1)
-		}
-		return c.imm(0)
-	case *lang.Ident:
-		return c.syms[c.info.Uses[e]]
-	case *lang.UnaryExpr:
-		x := c.boolExpr(e.X)
-		dst := c.newv()
-		c.emit(OpNot, dst, x, 0, 0)
-		return dst
-	case *lang.BinaryExpr:
-		return c.boolBinary(e)
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberSbfBool:
-			recv := c.sbfExpr(e.Recv)
-			dst := c.newv()
-			c.emit(OpSbfBoolProp, dst, recv, 0, int64(m.SbfBool))
-			return dst
-		case types.MemberHasWindowFor:
-			recv := c.sbfExpr(e.Recv)
-			arg := c.pktExpr(e.Args[0])
-			dst := c.newv()
-			c.emit(OpHasWnd, dst, recv, arg, 0)
-			return dst
-		case types.MemberSentOn:
-			recv := c.pktExpr(e.Recv)
-			arg := c.sbfExpr(e.Args[0])
-			dst := c.newv()
-			c.emit(OpSentOn, dst, recv, arg, 0)
-			return dst
-		case types.MemberEmpty:
-			if m.RecvType == types.SubflowList {
-				mask := c.listMask(e.Recv)
-				zero := c.imm(0)
-				dst := c.newv()
-				c.emit(OpEq, dst, mask, zero, 0)
-				return dst
-			}
-			top := c.queueTop(e.Recv)
-			zero := c.imm(0)
-			dst := c.newv()
-			c.emit(OpEq, dst, top, zero, 0)
-			return dst
-		}
-	}
-	panic(fmt.Sprintf("vm: unhandled bool expression %s", lang.FormatExpr(e)))
-}
+// ---- Subflow lists ----
 
-func (c *comp) boolBinary(e *lang.BinaryExpr) int {
-	switch e.Op {
-	case lang.AND, lang.OR:
-		// Short-circuit into a result vreg.
-		dst := c.newv()
-		x := c.boolExpr(e.X)
-		c.emit(OpMov, dst, x, 0, 0)
-		var skip int
-		if e.Op == lang.AND {
-			skip = c.emit(OpJz, 0, dst, 0, 0)
-		} else {
-			skip = c.emit(OpJnz, 0, dst, 0, 0)
+// listFilter materializes X.FILTER(Fn) as a membership bitmask over
+// subflow indices.
+func (c *comp) listFilter(e *ir.Expr) int {
+	inner := c.expr(e.X)
+	mask := c.imm(0)
+	c.forEachSubflowIdx(func(idx int) {
+		skip := c.emit(OpJbc, 0, inner, idx, 0)
+		param := c.newv()
+		c.slots[e.Fn.Slot] = param
+		c.emit(OpSbfRef, param, idx, 0, 0)
+		fails := c.condJumps(e.Fn.Body, false)
+		c.emit(OpBitSet, mask, mask, idx, 0)
+		for _, at := range fails {
+			c.patch(at)
 		}
-		y := c.boolExpr(e.Y)
-		c.emit(OpMov, dst, y, 0, 0)
 		c.patch(skip)
-		return dst
-	case lang.LT, lang.LTE, lang.GT, lang.GTE:
-		x := c.intExpr(e.X)
-		y := c.intExpr(e.Y)
-		dst := c.newv()
-		var op Op
-		switch e.Op {
-		case lang.LT:
-			op = OpLt
-		case lang.LTE:
-			op = OpLe
-		case lang.GT:
-			op = OpGt
-		default:
-			op = OpGe
-		}
-		c.emit(op, dst, x, y, 0)
-		return dst
-	case lang.EQ, lang.NEQ:
-		// All value encodings are canonical int64 handles, so a single
-		// integer comparison implements every equality.
-		x := c.anyExpr(e.X)
-		y := c.anyExpr(e.Y)
-		dst := c.newv()
-		if e.Op == lang.EQ {
-			c.emit(OpEq, dst, x, y, 0)
-		} else {
-			c.emit(OpNe, dst, x, y, 0)
-		}
-		return dst
-	}
-	panic(fmt.Sprintf("vm: unhandled bool binary %s", e.Op))
-}
-
-// anyExpr compiles an operand of an equality by its checked type.
-func (c *comp) anyExpr(e lang.Expr) int {
-	switch c.info.TypeOf(e) {
-	case types.Packet:
-		return c.pktExpr(e)
-	case types.Subflow:
-		return c.sbfExpr(e)
-	case types.Bool:
-		return c.boolExpr(e)
-	default:
-		return c.intExpr(e)
-	}
-}
-
-// ---- Packet expressions ----
-
-func (c *comp) pktExpr(e lang.Expr) int {
-	switch e := e.(type) {
-	case *lang.NullLit:
-		return c.imm(0)
-	case *lang.Ident:
-		return c.syms[c.info.Uses[e]]
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberTop:
-			return c.queueTop(e.Recv)
-		case types.MemberPop:
-			top := c.queueTop(e.Recv)
-			qid, _ := c.resolveQueue(e.Recv)
-			skip := c.emit(OpJz, 0, top, 0, 0)
-			c.emit(OpPop, 0, top, 0, int64(qid))
-			c.patch(skip)
-			return top
-		case types.MemberMin, types.MemberMax:
-			return c.queueMinMax(e, m)
-		}
-	}
-	panic(fmt.Sprintf("vm: unhandled packet expression %s", lang.FormatExpr(e)))
-}
-
-// ---- Subflow expressions ----
-
-func (c *comp) sbfExpr(e lang.Expr) int {
-	switch e := e.(type) {
-	case *lang.NullLit:
-		return c.imm(0)
-	case *lang.Ident:
-		return c.syms[c.info.Uses[e]]
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		switch m.Kind {
-		case types.MemberMin, types.MemberMax:
-			return c.listMinMax(e, m)
-		case types.MemberGet:
-			return c.listGet(e)
-		}
-	}
-	panic(fmt.Sprintf("vm: unhandled subflow expression %s", lang.FormatExpr(e)))
+	})
+	return mask
 }
 
 // listMinMax selects the subflow with minimal/maximal key from a list.
-func (c *comp) listMinMax(e *lang.MemberExpr, m *types.Member) int {
-	mask := c.listMask(e.Recv)
-	lam := e.Args[0].(*lang.Lambda)
-	paramSym := c.info.Defs[lam]
-
+func (c *comp) listMinMax(e *ir.Expr) int {
+	mask := c.expr(e.X)
 	best := c.imm(0)    // NULL
 	bestKey := c.imm(0) // irrelevant while best == 0
 	c.forEachSubflowIdx(func(idx int) {
 		skip := c.emit(OpJbc, 0, mask, idx, 0)
 		param := c.newv()
-		c.syms[paramSym] = param
+		c.slots[e.Fn.Slot] = param
 		c.emit(OpSbfRef, param, idx, 0, 0)
-		key := c.intExpr(lam.Body)
-		// take if best == NULL or key beats bestKey
-		isNull := c.newv()
-		zero := c.imm(0)
-		c.emit(OpEq, isNull, best, zero, 0)
-		jTake := c.emit(OpJnz, 0, isNull, 0, 0)
-		better := c.newv()
-		if m.Kind == types.MemberMax {
-			c.emit(OpGt, better, key, bestKey, 0)
-		} else {
-			c.emit(OpLt, better, key, bestKey, 0)
-		}
-		jSkip := c.emit(OpJz, 0, better, 0, 0)
-		c.patch(jTake)
-		c.emit(OpMov, best, param, 0, 0)
-		c.emit(OpMov, bestKey, key, 0, 0)
-		c.patch(jSkip)
+		key := c.expr(e.Fn.Body)
+		c.takeBetter(e.Op == ir.ListMax, best, bestKey, param, key, -1)
 		c.patch(skip)
 	})
 	return best
 }
 
+// takeBetter emits the MIN/MAX selection step: best, bestKey = cand,
+// key when best is NULL or key strictly beats bestKey, so ties keep
+// the first element. zero holds 0, or is -1 to materialize it here.
+func (c *comp) takeBetter(greatest bool, best, bestKey, cand, key, zero int) {
+	isNull := c.newv()
+	if zero < 0 {
+		zero = c.imm(0)
+	}
+	c.emit(OpEq, isNull, best, zero, 0)
+	jTake := c.emit(OpJnz, 0, isNull, 0, 0)
+	better := c.newv()
+	if greatest {
+		c.emit(OpGt, better, key, bestKey, 0)
+	} else {
+		c.emit(OpLt, better, key, bestKey, 0)
+	}
+	jSkip := c.emit(OpJz, 0, better, 0, 0)
+	c.patch(jTake)
+	c.emit(OpMov, best, cand, 0, 0)
+	c.emit(OpMov, bestKey, key, 0, 0)
+	c.patch(jSkip)
+}
+
 // listGet implements GET(i) with wrap-around indexing over the list's
-// set bits (graceful out-of-range handling, NULL when empty).
-func (c *comp) listGet(e *lang.MemberExpr) int {
-	mask := c.listMask(e.Recv)
-	rawIdx := c.intExpr(e.Args[0])
+// set bits (ir.Wrap; NULL when empty).
+func (c *comp) listGet(e *ir.Expr) int {
+	mask := c.expr(e.X)
+	rawIdx := c.expr(e.Y)
 
 	res := c.imm(0)
 	n := c.newv()
@@ -687,109 +515,30 @@ func (c *comp) listGet(e *lang.MemberExpr) int {
 	return res
 }
 
-// ---- Subflow list masks ----
-
-// listMask compiles a subflow-list expression into a membership bitmask
-// over subflow indices.
-func (c *comp) listMask(e lang.Expr) int {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		if c.constN >= 0 {
-			var m int64
-			if c.constN > 0 {
-				m = int64((uint64(1) << uint(c.constN)) - 1)
-			}
-			return c.imm(m)
-		}
-		mask := c.imm(0)
-		c.forEachSubflowIdx(func(idx int) {
-			c.emit(OpBitSet, mask, mask, idx, 0)
-		})
-		return mask
-	case *lang.Ident:
-		return c.syms[c.info.Uses[e]]
-	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		if m.Kind != types.MemberFilter {
-			break
-		}
-		inner := c.listMask(e.Recv)
-		lam := e.Args[0].(*lang.Lambda)
-		paramSym := c.info.Defs[lam]
-		mask := c.imm(0)
-		c.forEachSubflowIdx(func(idx int) {
-			skip := c.emit(OpJbc, 0, inner, idx, 0)
-			param := c.newv()
-			c.syms[paramSym] = param
-			c.emit(OpSbfRef, param, idx, 0, 0)
-			fails := c.condJumps(lam.Body, false)
-			c.emit(OpBitSet, mask, mask, idx, 0)
-			for _, at := range fails {
-				c.patch(at)
-			}
-			c.patch(skip)
-		})
-		return mask
-	}
-	panic(fmt.Sprintf("vm: unhandled subflow list expression %s", lang.FormatExpr(e)))
-}
-
 // ---- Queues ----
 
-// resolveQueue walks a queue expression to its base queue id and the
-// filter chain (outermost last). Queue-typed variables resolve through
-// their single assignment.
-func (c *comp) resolveQueue(e lang.Expr) (runtime.QueueID, []*lang.Lambda) {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		switch e.Kind {
-		case lang.EntityQ:
-			return runtime.QueueSend, nil
-		case lang.EntityQU:
-			return runtime.QueueUnacked, nil
-		case lang.EntityRQ:
-			return runtime.QueueReinject, nil
-		}
-	case *lang.Ident:
-		def, ok := c.queueDefs[c.info.Uses[e]]
-		if !ok {
-			panic(fmt.Sprintf("vm: queue variable %s has no recorded definition", e.Name))
-		}
-		return c.resolveQueue(def)
-	case *lang.MemberExpr:
-		if c.info.Members[e].Kind == types.MemberFilter {
-			qid, chain := c.resolveQueue(e.Recv)
-			return qid, append(chain, e.Args[0].(*lang.Lambda))
-		}
-	}
-	panic(fmt.Sprintf("vm: unhandled queue expression %s", lang.FormatExpr(e)))
-}
-
-// queueScan emits a loop over the visible, filter-matching packets of a
-// queue expression. body receives the vreg holding the current packet
-// handle and the patch-list for "continue"; returning from body is via
-// emitted jumps. body returns jump indices to patch to the loop end
-// ("break" sites).
-func (c *comp) queueScan(recv lang.Expr, body func(pkt int) (breaks []int)) {
-	qid, chain := c.resolveQueue(recv)
+// queueScan emits a loop over the visible packets of q that pass its
+// predicates. body receives the vreg holding the current packet handle
+// and returns the jump indices to patch to the loop end ("break"
+// sites).
+func (c *comp) queueScan(q *ir.Queue, body func(pkt int) (breaks []int)) {
 	pos := c.imm(-1)
 	loopStart := c.here()
-	c.emit(OpQNext, pos, pos, 0, int64(qid))
+	c.emit(OpQNext, pos, pos, 0, int64(q.ID))
 	negative := c.newv()
 	zero := c.imm(0)
 	c.emit(OpLt, negative, pos, zero, 0)
 	jdone := c.emit(OpJnz, 0, negative, 0, 0)
 	pkt := c.newv()
-	c.emit(OpPktRef, pkt, pos, 0, int64(qid))
+	c.emit(OpPktRef, pkt, pos, 0, int64(q.ID))
 	var continues []int
-	for _, lam := range chain {
-		paramSym := c.info.Defs[lam]
-		param, ok := c.syms[paramSym]
-		if !ok {
-			param = c.newv()
-			c.syms[paramSym] = param
+	for _, lam := range q.Preds {
+		// A predicate scanned again (through a queue variable) reuses
+		// its parameter vreg.
+		if c.slots[lam.Slot] < 0 {
+			c.slots[lam.Slot] = c.newv()
 		}
-		c.emit(OpMov, param, pkt, 0, 0)
+		c.emit(OpMov, c.slots[lam.Slot], pkt, 0, 0)
 		continues = append(continues, c.condJumps(lam.Body, false)...)
 	}
 	breaks := body(pkt)
@@ -805,9 +554,9 @@ func (c *comp) queueScan(recv lang.Expr, body func(pkt int) (breaks []int)) {
 }
 
 // queueTop returns a vreg holding the first matching packet (0 = NULL).
-func (c *comp) queueTop(recv lang.Expr) int {
+func (c *comp) queueTop(q *ir.Queue) int {
 	res := c.imm(0)
-	c.queueScan(recv, func(pkt int) []int {
+	c.queueScan(q, func(pkt int) []int {
 		c.emit(OpMov, res, pkt, 0, 0)
 		return []int{c.emit(OpJmp, 0, 0, 0, 0)}
 	})
@@ -815,10 +564,10 @@ func (c *comp) queueTop(recv lang.Expr) int {
 }
 
 // queueCount returns a vreg holding the number of matching packets.
-func (c *comp) queueCount(recv lang.Expr) int {
+func (c *comp) queueCount(q *ir.Queue) int {
 	n := c.imm(0)
 	one := c.imm(1)
-	c.queueScan(recv, func(int) []int {
+	c.queueScan(q, func(int) []int {
 		c.emit(OpAdd, n, n, one, 0)
 		return nil
 	})
@@ -826,9 +575,9 @@ func (c *comp) queueCount(recv lang.Expr) int {
 }
 
 // queueBytes returns a vreg holding the byte total of matching packets.
-func (c *comp) queueBytes(recv lang.Expr) int {
+func (c *comp) queueBytes(q *ir.Queue) int {
 	n := c.imm(0)
-	c.queueScan(recv, func(pkt int) []int {
+	c.queueScan(q, func(pkt int) []int {
 		sz := c.newv()
 		c.emit(OpPktProp, sz, pkt, 0, int64(runtime.PktSize))
 		c.emit(OpAdd, n, n, sz, 0)
@@ -838,32 +587,16 @@ func (c *comp) queueBytes(recv lang.Expr) int {
 }
 
 // queueMinMax selects the packet with minimal/maximal key.
-func (c *comp) queueMinMax(e *lang.MemberExpr, m *types.Member) int {
-	lam := e.Args[0].(*lang.Lambda)
-	paramSym := c.info.Defs[lam]
+func (c *comp) queueMinMax(e *ir.Expr) int {
 	param := c.newv()
-	c.syms[paramSym] = param
-
+	c.slots[e.Fn.Slot] = param
 	best := c.imm(0)
 	bestKey := c.imm(0)
 	zero := c.imm(0)
-	c.queueScan(e.Recv, func(pkt int) []int {
+	c.queueScan(e.Q, func(pkt int) []int {
 		c.emit(OpMov, param, pkt, 0, 0)
-		key := c.intExpr(lam.Body)
-		isNull := c.newv()
-		c.emit(OpEq, isNull, best, zero, 0)
-		jTake := c.emit(OpJnz, 0, isNull, 0, 0)
-		better := c.newv()
-		if m.Kind == types.MemberMax {
-			c.emit(OpGt, better, key, bestKey, 0)
-		} else {
-			c.emit(OpLt, better, key, bestKey, 0)
-		}
-		jSkip := c.emit(OpJz, 0, better, 0, 0)
-		c.patch(jTake)
-		c.emit(OpMov, best, pkt, 0, 0)
-		c.emit(OpMov, bestKey, key, 0, 0)
-		c.patch(jSkip)
+		key := c.expr(e.Fn.Body)
+		c.takeBetter(e.Op == ir.QMax, best, bestKey, pkt, key, zero)
 		return nil
 	})
 	return best

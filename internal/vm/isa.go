@@ -1,10 +1,10 @@
 // Package vm implements the bytecode execution back-end for ProgMP
 // scheduler programs — the Go analogue of the paper's in-kernel eBPF
-// JIT ("alternative 3" in §4.1). The cross-compiler lowers the checked
-// AST to a register-based 64-bit ISA, allocates physical registers with
-// a second-chance-binpacking linear scan (Traub et al., PLDI 1998, as
-// cited by the paper), verifies the result eBPF-style, and executes it
-// in a threaded dispatch loop.
+// JIT ("alternative 3" in §4.1). The cross-compiler translates the
+// lowered IR (package ir) to a register-based 64-bit ISA, allocates
+// physical registers with a second-chance-binpacking linear scan (Traub
+// et al., PLDI 1998, as cited by the paper), verifies the result
+// eBPF-style, and executes it in a threaded dispatch loop.
 //
 // All values are int64, as on an eBPF machine. Object references are
 // encoded handles:
@@ -12,9 +12,9 @@
 //   - subflow:  index into Env.SubflowViews + 1 (0 is NULL)
 //   - packet:   (queueID+1)<<32 | (position in base queue + 1) (0 is NULL)
 //   - subflow list: 64-bit membership mask over subflow indices
-//   - queue:    filter chains are inlined statically; a queue-typed
-//     variable reduces to its defining chain at compile time (legal
-//     because variables are single-assignment and predicates are pure)
+//   - queue:    no run-time value; the lowering resolves every queue
+//     expression to a base queue and a filter chain, which the
+//     cross-compiler inlines into each scan
 package vm
 
 import (

@@ -1,5 +1,9 @@
 package vm
 
+// The folded division and remainder are the language's own (package
+// ir); local variables named ir hold the instruction stream.
+import langir "progmp/internal/lang/ir"
+
 // IR-level optimizations run between the cross-compiler and the
 // register allocator (the paper's runtime performs the analogous
 // simplifications on its intermediate representation, §4.1):
@@ -451,19 +455,11 @@ func constFold(ir []irIns) bool {
 			}
 		case OpDiv:
 			if ka && kb {
-				if vb == 0 {
-					setConst(0)
-				} else {
-					setConst(va / vb)
-				}
+				setConst(langir.DivInt(va, vb))
 			}
 		case OpMod:
 			if ka && kb {
-				if vb == 0 {
-					setConst(0)
-				} else {
-					setConst(va % vb)
-				}
+				setConst(langir.ModInt(va, vb))
 			}
 		case OpNeg:
 			if ka {

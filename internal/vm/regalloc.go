@@ -93,6 +93,15 @@ var roles = map[Op]opRoles{
 	OpJbs:         {readsA: true, readsB: true},
 }
 
+// StepCost is the most steps one virtual-register instruction of op can
+// take once allocated: the instruction itself, a spill load for each
+// register it reads and a spill store for the register it writes. The
+// analyzer's step bound charges every emitted instruction this much.
+func StepCost(op Op) int64 {
+	r := roles[op]
+	return 1 + b2i(r.readsA) + b2i(r.readsB) + b2i(r.writesDst)
+}
+
 // buildIntervals computes conservative live intervals and extends them
 // across backward edges so that values live anywhere inside a loop stay
 // live for the whole loop.

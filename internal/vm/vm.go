@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"progmp/internal/lang/ir"
 	"progmp/internal/runtime"
 )
 
@@ -78,17 +79,9 @@ func (p *Program) Exec(env *runtime.Env) error {
 		case OpMul:
 			regs[in.Dst] = regs[in.A] * regs[in.B]
 		case OpDiv:
-			if regs[in.B] == 0 {
-				regs[in.Dst] = 0
-			} else {
-				regs[in.Dst] = regs[in.A] / regs[in.B]
-			}
+			regs[in.Dst] = ir.DivInt(regs[in.A], regs[in.B])
 		case OpMod:
-			if regs[in.B] == 0 {
-				regs[in.Dst] = 0
-			} else {
-				regs[in.Dst] = regs[in.A] % regs[in.B]
-			}
+			regs[in.Dst] = ir.ModInt(regs[in.A], regs[in.B])
 		case OpNeg:
 			regs[in.Dst] = -regs[in.A]
 		case OpNot:
@@ -201,16 +194,14 @@ func (p *Program) Exec(env *runtime.Env) error {
 				}
 			}
 		case OpJsbz:
-			// A NULL subflow reads every property as false, matching
-			// OpSbfBoolProp's graceful-NULL semantics.
-			if sbf := sbfView(env, regs[in.A]); sbf == nil || !sbf.Bools[in.B] {
+			if !sbfView(env, regs[in.A]).Bool(runtime.SubflowBoolProp(in.B)) {
 				pc += int(in.K)
 				if in.K < 0 && steps > MaxSteps {
 					goto budget
 				}
 			}
 		case OpJsbnz:
-			if sbf := sbfView(env, regs[in.A]); sbf != nil && sbf.Bools[in.B] {
+			if sbfView(env, regs[in.A]).Bool(runtime.SubflowBoolProp(in.B)) {
 				pc += int(in.K)
 				if in.K < 0 && steps > MaxSteps {
 					goto budget
@@ -246,25 +237,13 @@ func (p *Program) Exec(env *runtime.Env) error {
 		case OpSbfRef:
 			regs[in.Dst] = regs[in.A] + 1
 		case OpSbfIntProp:
-			if sbf := sbfView(env, regs[in.A]); sbf != nil {
-				regs[in.Dst] = sbf.Ints[in.K]
-			} else {
-				regs[in.Dst] = 0
-			}
+			regs[in.Dst] = sbfView(env, regs[in.A]).Int(runtime.SubflowIntProp(in.K))
 		case OpSbfBoolProp:
-			if sbf := sbfView(env, regs[in.A]); sbf != nil {
-				regs[in.Dst] = b2i(sbf.Bools[in.K])
-			} else {
-				regs[in.Dst] = 0
-			}
+			regs[in.Dst] = b2i(sbfView(env, regs[in.A]).Bool(runtime.SubflowBoolProp(in.K)))
 		case OpHasWnd:
 			regs[in.Dst] = b2i(sbfView(env, regs[in.A]).HasWindowFor(pktView(env, regs[in.B])))
 		case OpPktProp:
-			if p := pktView(env, regs[in.A]); p != nil {
-				regs[in.Dst] = p.Ints[in.K]
-			} else {
-				regs[in.Dst] = 0
-			}
+			regs[in.Dst] = pktView(env, regs[in.A]).Int(runtime.PacketIntProp(in.K))
 		case OpSentOn:
 			regs[in.Dst] = b2i(pktView(env, regs[in.A]).SentOn(sbfView(env, regs[in.B])))
 		case OpQNext:
