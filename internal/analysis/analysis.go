@@ -1,9 +1,10 @@
 // Package analysis is the static analyzer behind progmp-vet and the
 // control-plane admission gate. It runs a dataflow /
 // abstract-interpretation pass over the type-checked AST, derives a
-// static worst-case step bound from the lowered IR (package ir), and
-// produces structured diagnostics (rule id, severity, position) that
-// callers can relay or act on.
+// static worst-case step bound from the steps the VM code generator
+// counts for the lowered program (vm.StepCounts), and produces
+// structured diagnostics (rule id, severity, position) that callers
+// can relay or act on.
 //
 // The severity contract: errors are programs the front end already
 // refuses (syntax, type, use-before-def, single-assignment, purity) —
@@ -66,10 +67,6 @@ func (o Options) withDefaults() Options {
 type Facts struct {
 	// DeadIfs lists IF statements with a provably constant condition.
 	DeadIfs []DeadIf
-	// Bound is the worst-case step polynomial over S and N.
-	Bound string
-	// BoundAt is the polynomial evaluated at the reference sizes.
-	BoundAt int64
 }
 
 // DeadIf is one provably dead IF branch.
@@ -104,8 +101,6 @@ func AnalyzeProgram(info *types.Info, opts Options) (*Report, *Facts) {
 	bound := programCost(ir.Lower(info))
 	a.rep.StepBound = bound.String()
 	a.rep.StepBoundAt = bound.eval(opts.RefSubflows, opts.RefQueueDepth)
-	a.facts.Bound = a.rep.StepBound
-	a.facts.BoundAt = a.rep.StepBoundAt
 	if a.rep.StepBoundAt > opts.StepBudget {
 		a.forceDiag(RuleStepBudget, info.Prog.Position(),
 			"worst-case step bound %s = %d at S=%d subflows, N=%d queued packets exceeds the execution budget of %d; the runtime will cut this scheduler off and fall back",

@@ -95,14 +95,44 @@ func TestGeneratedCorpusNoPanic(t *testing.T) {
 		}
 		checkStepBound(t, fmt.Sprintf("generated program #%d", i), src, envRng, 5)
 	}
+	for _, name := range corpusNames() {
+		checkStepBound(t, name, schedlib.All[name], envRng, 50)
+	}
+}
+
+// corpusNames lists the scheduler corpus in name order.
+func corpusNames() []string {
 	names := make([]string, 0, len(schedlib.All))
 	for name := range schedlib.All {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		checkStepBound(t, name, schedlib.All[name], envRng, 50)
+	return names
+}
+
+// FuzzStepBound checks the step bound of one program on a few random
+// environments. A program seed below the corpus size names a corpus
+// program (in name order); any other seeds envtest.GenProgram. The
+// environment seed drives the environments.
+func FuzzStepBound(f *testing.F) {
+	names := corpusNames()
+	for i := range names {
+		f.Add(int64(i), int64(i))
 	}
+	for _, seed := range []int64{-1, 100, 4242, 1 << 40} {
+		f.Add(seed, seed)
+	}
+	f.Fuzz(func(t *testing.T, progSeed, envSeed int64) {
+		var name, src string
+		if progSeed >= 0 && progSeed < int64(len(names)) {
+			name = names[progSeed]
+			src = schedlib.All[name]
+		} else {
+			name = fmt.Sprintf("generated program (seed %d)", progSeed)
+			src = envtest.GenProgram(rand.New(rand.NewSource(progSeed)))
+		}
+		checkStepBound(t, name, src, rand.New(rand.NewSource(envSeed)), 8)
+	})
 }
 
 // checkStepBound runs src's generic VM program, and the program
@@ -144,11 +174,18 @@ func checkStepBound(t *testing.T, name, src string, rng *rand.Rand, envs int) {
 	}
 }
 
-// boundEnv is a random environment widened to up to eight subflows, so
-// every specialization the runtime unrolls gets exercised.
+// boundEnv is a random environment widened to up to
+// runtime.MaxSubflows subflows, so every specialization the runtime
+// compiles gets exercised: two draws in three stay at eight or fewer
+// (the unrolled specializations), the rest take 9 to MaxSubflows
+// (constant-count loops).
 func boundEnv(rng *rand.Rand) *runtime.Env {
 	env := envtest.RandomEnv(rng)
-	for want := rng.Intn(9); len(env.SubflowViews) < want; {
+	want := rng.Intn(9)
+	if rng.Intn(3) == 0 {
+		want = 9 + rng.Intn(runtime.MaxSubflows-8)
+	}
+	for len(env.SubflowViews) < want {
 		env.SubflowViews = append(env.SubflowViews, envtest.NewSubflow(envtest.SbfSpec{
 			ID:       len(env.SubflowViews),
 			RTT:      int64(rng.Intn(100000) + 1),

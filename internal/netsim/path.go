@@ -214,22 +214,6 @@ func (p *Path) QueuedBytes() int {
 	return int(float64(p.busyUntil-now) / float64(time.Second) * rate)
 }
 
-// BacklogClearAt estimates the virtual time when the transmit backlog
-// will have drained to at most targetBytes (now when already below).
-func (p *Path) BacklogClearAt(targetBytes int) time.Duration {
-	now := p.eng.Now()
-	excess := p.QueuedBytes() - targetBytes
-	if excess <= 0 {
-		return now
-	}
-	rate := p.cfg.Rate(now)
-	if rate <= 0 {
-		// A dead link never drains; report a distant deadline.
-		return now + time.Hour
-	}
-	return now + time.Duration(float64(excess)/rate*float64(time.Second))
-}
-
 // Send transmits size bytes and calls deliver at the receiver when the
 // packet survives queueing and loss. It returns false when the packet
 // was tail-dropped at the local queue (the caller observes that only

@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -105,15 +103,4 @@ func (r *Recorder) Percentile(name string, p float64) float64 {
 	sort.Float64s(vals)
 	idx := int(p * float64(len(vals)-1))
 	return vals[idx]
-}
-
-// Table renders series as an aligned text table of (name, count, mean,
-// sum) rows — the progmp-bench summary format.
-func (r *Recorder) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %8s %14s %14s\n", "series", "n", "mean", "sum")
-	for _, name := range r.Names() {
-		fmt.Fprintf(&b, "%-32s %8d %14.2f %14.2f\n", name, len(r.series[name]), r.Mean(name), r.Sum(name))
-	}
-	return b.String()
 }

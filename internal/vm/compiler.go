@@ -42,13 +42,7 @@ func Compile(info *types.Info, opts Options) (*Program, error) {
 	if opts.SubflowCount >= 0 && opts.SubflowCount > runtime.MaxSubflows {
 		return nil, fmt.Errorf("vm: cannot specialize for %d subflows (max %d)", opts.SubflowCount, runtime.MaxSubflows)
 	}
-	lowered := ir.Lower(info)
-	c := &comp{slots: make([]int, lowered.NumSlots), constN: opts.SubflowCount}
-	for i := range c.slots {
-		c.slots[i] = -1
-	}
-	c.block(lowered.Body)
-	c.emit(OpReturn, 0, 0, 0, 0)
+	c := emitProgram(ir.Lower(info), opts.SubflowCount)
 	if !opts.DisableOptimizations {
 		c.code = optimize(c.code)
 	}
@@ -68,14 +62,38 @@ func Compile(info *types.Info, opts Options) (*Program, error) {
 	return prog, nil
 }
 
-// MustCompile compiles with the generic (unspecialized) options and
-// panics on error; for embedded specifications and tests.
-func MustCompile(info *types.Info) *Program {
-	p, err := Compile(info, Options{SubflowCount: -1})
-	if err != nil {
-		panic(fmt.Sprintf("vm.MustCompile: %v", err))
+// Nest is a loop nesting: an instruction inside S subflow loops and N
+// queue scans.
+type Nest struct{ S, N int }
+
+// StepCounts emits prog generically (no specialization, optimization
+// or register allocation) and returns, per loop nesting, the most steps
+// one pass over the instructions at that nesting can take once
+// compiled. Each instruction counts stepCost, plus one step for every
+// constant load to pay for the preamble the optimizer hoists repeated
+// constants into; the optimizer otherwise only removes or cheapens
+// instructions on any path. Both arms of an IF count. A generic
+// subflow loop's header and body sit one S deeper, and its header runs
+// at most S+1 times per entry with S subflows; a queue scan's sit one N
+// deeper and run at most N+1 times with N visible packets, except a
+// scan that stops at its first packet and has no predicates, which
+// makes one pass. So with S subflows and at most N packets per queue,
+// the steps at nesting {s, n} repeat at most (S+1)^s·(N+1)^n times, for
+// the generic program and every specialization of it alike.
+func StepCounts(prog *ir.Program) map[Nest]int64 {
+	return emitProgram(prog, -1).steps
+}
+
+// emitProgram runs the code generator over prog, specialized for
+// constN subflows when constN >= 0.
+func emitProgram(prog *ir.Program, constN int) *comp {
+	c := &comp{slots: make([]int, prog.NumSlots), constN: constN, steps: make(map[Nest]int64)}
+	for i := range c.slots {
+		c.slots[i] = -1
 	}
-	return p
+	c.block(prog.Body)
+	c.emit(OpReturn, 0, 0, 0, 0)
+	return c
 }
 
 type comp struct {
@@ -86,6 +104,10 @@ type comp struct {
 	// the lowering already resolved their chains.
 	slots  []int
 	constN int
+	// nest is the loop nesting of the next instruction; steps counts
+	// the emitted steps per nesting (see StepCounts).
+	nest  Nest
+	steps map[Nest]int64
 }
 
 func (c *comp) newv() int {
@@ -96,6 +118,11 @@ func (c *comp) newv() int {
 
 func (c *comp) emit(op Op, dst, a, b int, k int64) int {
 	c.code = append(c.code, irIns{op: op, dst: dst, a: a, b: b, k: k})
+	c.steps[c.nest] += stepCost(op)
+	// A constant load also pays its share of the hoisted preamble.
+	if op == OpMovImm {
+		c.steps[c.nest]++
+	}
 	return len(c.code) - 1
 }
 
@@ -193,6 +220,7 @@ func (c *comp) forEachSubflowIdx(body func(idxVreg int)) {
 	count := c.subflowCount()
 	idx := c.imm(0)
 	one := c.imm(1)
+	c.nest.S++
 	loopStart := c.here()
 	inRange := c.newv()
 	c.emit(OpLt, inRange, idx, count, 0)
@@ -200,6 +228,7 @@ func (c *comp) forEachSubflowIdx(body func(idxVreg int)) {
 	body(idx)
 	c.emit(OpAdd, idx, idx, one, 0)
 	back := c.emit(OpJmp, 0, 0, 0, 0)
+	c.nest.S--
 	c.patchTo(back, loopStart)
 	c.patch(jdone)
 }
@@ -520,9 +549,14 @@ func (c *comp) listGet(e *ir.Expr) int {
 // queueScan emits a loop over the visible packets of q that pass its
 // predicates. body receives the vreg holding the current packet handle
 // and returns the jump indices to patch to the loop end ("break"
-// sites).
-func (c *comp) queueScan(q *ir.Queue, body func(pkt int) (breaks []int)) {
+// sites). stops reports that body breaks on every pass: without
+// predicates, such a scan makes a single pass.
+func (c *comp) queueScan(q *ir.Queue, stops bool, body func(pkt int) (breaks []int)) {
 	pos := c.imm(-1)
+	loops := !stops || len(q.Preds) > 0
+	if loops {
+		c.nest.N++
+	}
 	loopStart := c.here()
 	c.emit(OpQNext, pos, pos, 0, int64(q.ID))
 	negative := c.newv()
@@ -546,6 +580,9 @@ func (c *comp) queueScan(q *ir.Queue, body func(pkt int) (breaks []int)) {
 		c.patch(at)
 	}
 	back := c.emit(OpJmp, 0, 0, 0, 0)
+	if loops {
+		c.nest.N--
+	}
 	c.patchTo(back, loopStart)
 	c.patch(jdone)
 	for _, at := range breaks {
@@ -556,7 +593,7 @@ func (c *comp) queueScan(q *ir.Queue, body func(pkt int) (breaks []int)) {
 // queueTop returns a vreg holding the first matching packet (0 = NULL).
 func (c *comp) queueTop(q *ir.Queue) int {
 	res := c.imm(0)
-	c.queueScan(q, func(pkt int) []int {
+	c.queueScan(q, true, func(pkt int) []int {
 		c.emit(OpMov, res, pkt, 0, 0)
 		return []int{c.emit(OpJmp, 0, 0, 0, 0)}
 	})
@@ -567,7 +604,7 @@ func (c *comp) queueTop(q *ir.Queue) int {
 func (c *comp) queueCount(q *ir.Queue) int {
 	n := c.imm(0)
 	one := c.imm(1)
-	c.queueScan(q, func(int) []int {
+	c.queueScan(q, false, func(int) []int {
 		c.emit(OpAdd, n, n, one, 0)
 		return nil
 	})
@@ -577,7 +614,7 @@ func (c *comp) queueCount(q *ir.Queue) int {
 // queueBytes returns a vreg holding the byte total of matching packets.
 func (c *comp) queueBytes(q *ir.Queue) int {
 	n := c.imm(0)
-	c.queueScan(q, func(pkt int) []int {
+	c.queueScan(q, false, func(pkt int) []int {
 		sz := c.newv()
 		c.emit(OpPktProp, sz, pkt, 0, int64(runtime.PktSize))
 		c.emit(OpAdd, n, n, sz, 0)
@@ -593,7 +630,7 @@ func (c *comp) queueMinMax(e *ir.Expr) int {
 	best := c.imm(0)
 	bestKey := c.imm(0)
 	zero := c.imm(0)
-	c.queueScan(e.Q, func(pkt int) []int {
+	c.queueScan(e.Q, false, func(pkt int) []int {
 		c.emit(OpMov, param, pkt, 0, 0)
 		key := c.expr(e.Fn.Body)
 		c.takeBetter(e.Op == ir.QMax, best, bestKey, pkt, key, zero)

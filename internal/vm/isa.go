@@ -19,8 +19,10 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
+	"progmp/internal/lang/ir"
 	"progmp/internal/obs"
 )
 
@@ -189,6 +191,98 @@ func (op Op) String() string {
 		return opNames[op]
 	}
 	return fmt.Sprintf("op(%d)", int(op))
+}
+
+// value is the result a pure instruction writes to dst, given the
+// values of its operand registers a and b and its immediate k; ok is
+// false for every op whose result depends on more (the environment, the
+// register files, spill slots) or that writes nothing. It is the one
+// definition of instruction arithmetic for constant folding and
+// ExecProfile; Exec inlines the same cases for speed, and a table test
+// ties the two together.
+func value(op Op, a, b, k int64) (v int64, ok bool) {
+	switch op {
+	case OpMovImm:
+		return k, true
+	case OpMov:
+		return a, true
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpDiv:
+		return ir.DivInt(a, b), true
+	case OpMod:
+		return ir.ModInt(a, b), true
+	case OpNeg:
+		return -a, true
+	case OpNot:
+		return b2i(a == 0), true
+	case OpEq:
+		return b2i(a == b), true
+	case OpNe:
+		return b2i(a != b), true
+	case OpLt:
+		return b2i(a < b), true
+	case OpLe:
+		return b2i(a <= b), true
+	case OpGt:
+		return b2i(a > b), true
+	case OpGe:
+		return b2i(a >= b), true
+	case OpPopcnt:
+		return int64(bits.OnesCount64(uint64(a))), true
+	case OpBitSet:
+		return a | int64(uint64(1)<<uint(b&63)), true
+	case OpBitTest:
+		return (a >> uint(b&63)) & 1, true
+	case OpSbfRef:
+		// The handle encoding is pure arithmetic (index + 1).
+		return a + 1, true
+	}
+	return 0, false
+}
+
+// taken reports whether a jump whose condition reads only its operand
+// registers a and b transfers control; ok is false for every other op,
+// including the subflow-property branches OpJsbz and OpJsbnz. Like
+// value, it defines the branch conditions for folding and profiling.
+func taken(op Op, a, b int64) (take, ok bool) {
+	switch op {
+	case OpJmp:
+		return true, true
+	case OpJz:
+		return a == 0, true
+	case OpJnz:
+		return a != 0, true
+	case OpJeq:
+		return a == b, true
+	case OpJne:
+		return a != b, true
+	case OpJlt:
+		return a < b, true
+	case OpJle:
+		return a <= b, true
+	case OpJgt:
+		return a > b, true
+	case OpJge:
+		return a >= b, true
+	case OpJltz:
+		return a < 0, true
+	case OpJlez:
+		return a <= 0, true
+	case OpJgtz:
+		return a > 0, true
+	case OpJgez:
+		return a >= 0, true
+	case OpJbc:
+		return (a>>uint(b&63))&1 == 0, true
+	case OpJbs:
+		return (a>>uint(b&63))&1 != 0, true
+	}
+	return false, false
 }
 
 // Instr is one fixed-width instruction.

@@ -1,9 +1,5 @@
 package vm
 
-// The folded division and remainder are the language's own (package
-// ir); local variables named ir hold the instruction stream.
-import langir "progmp/internal/lang/ir"
-
 // IR-level optimizations run between the cross-compiler and the
 // register allocator (the paper's runtime performs the analogous
 // simplifications on its intermediate representation, §4.1):
@@ -397,9 +393,10 @@ func globalConsts(ir []irIns, nv int) ([]bool, []int64) {
 // constFold propagates constants and folds pure instructions whose
 // operands are all known, turning decided branches into unconditional
 // jumps or no-ops. Constants are tracked block-locally plus globally
-// (single-valued vregs, see globalConsts). Arithmetic replicates the
-// VM exactly: int64 wraparound, and division or modulo by zero yields
-// 0 (no exceptions by design, §3.3).
+// (single-valued vregs, see globalConsts). Results and branch
+// outcomes come from value and taken, the definitions Exec is tested
+// against: int64 wraparound, and division or modulo by zero yields 0
+// (no exceptions by design, §3.3).
 func constFold(ir []irIns) bool {
 	leader := blockLeaders(ir)
 	nv := maxVreg(ir)
@@ -416,183 +413,30 @@ func constFold(ir []irIns) bool {
 		in := &ir[i]
 		var va, vb int64
 		ka, kb := false, false
-		if roles[in.op].readsA && in.a < nv {
+		r := roles[in.op]
+		if r.readsA && in.a < nv {
 			if known[in.a] {
 				ka, va = true, konst[in.a]
 			} else if gknown[in.a] {
 				ka, va = true, gval[in.a]
 			}
 		}
-		if roles[in.op].readsB && in.b < nv {
+		if r.readsB && in.b < nv {
 			if known[in.b] {
 				kb, vb = true, konst[in.b]
 			} else if gknown[in.b] {
 				kb, vb = true, gval[in.b]
 			}
 		}
-		setConst := func(v int64) {
-			in.op, in.k = OpMovImm, v
-			changed = true
-		}
-		switch in.op {
-		case OpMovImm:
-			// Recorded below.
-		case OpMov:
-			if ka {
-				setConst(va)
-			}
-		case OpAdd:
-			if ka && kb {
-				setConst(va + vb)
-			}
-		case OpSub:
-			if ka && kb {
-				setConst(va - vb)
-			}
-		case OpMul:
-			if ka && kb {
-				setConst(va * vb)
-			}
-		case OpDiv:
-			if ka && kb {
-				setConst(langir.DivInt(va, vb))
-			}
-		case OpMod:
-			if ka && kb {
-				setConst(langir.ModInt(va, vb))
-			}
-		case OpNeg:
-			if ka {
-				setConst(-va)
-			}
-		case OpNot:
-			if ka {
-				setConst(foldB2i(va == 0))
-			}
-		case OpEq:
-			if ka && kb {
-				setConst(foldB2i(va == vb))
-			}
-		case OpNe:
-			if ka && kb {
-				setConst(foldB2i(va != vb))
-			}
-		case OpLt:
-			if ka && kb {
-				setConst(foldB2i(va < vb))
-			}
-		case OpLe:
-			if ka && kb {
-				setConst(foldB2i(va <= vb))
-			}
-		case OpGt:
-			if ka && kb {
-				setConst(foldB2i(va > vb))
-			}
-		case OpGe:
-			if ka && kb {
-				setConst(foldB2i(va >= vb))
-			}
-		case OpPopcnt:
-			if ka {
-				setConst(popcount(va))
-			}
-		case OpBitSet:
-			if ka && kb {
-				setConst(va | int64(uint64(1)<<uint(vb&63)))
-			}
-		case OpBitTest:
-			if ka && kb {
-				setConst((va >> uint(vb&63)) & 1)
-			}
-		case OpSbfRef:
-			// The handle encoding is pure arithmetic (index + 1), so a
-			// constant index — the unrolled-loop case — folds entirely.
-			if ka {
-				setConst(va + 1)
-			}
-		case OpJz:
-			if ka {
-				if va == 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
+		// Fold once every operand the instruction reads is known. A
+		// movimm is already folded, and an unconditional jump has
+		// nothing to decide.
+		if in.op != OpMovImm && in.op != OpJmp && (ka || !r.readsA) && (kb || !r.readsB) {
+			if v, ok := value(in.op, va, vb, in.k); ok {
+				in.op, in.k = OpMovImm, v
 				changed = true
-			}
-		case OpJnz:
-			if ka {
-				if va != 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge:
-			if ka && kb {
-				var take bool
-				switch in.op {
-				case OpJeq:
-					take = va == vb
-				case OpJne:
-					take = va != vb
-				case OpJlt:
-					take = va < vb
-				case OpJle:
-					take = va <= vb
-				case OpJgt:
-					take = va > vb
-				case OpJge:
-					take = va >= vb
-				}
+			} else if take, ok := taken(in.op, va, vb); ok {
 				if take {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJltz:
-			if ka {
-				if va < 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJlez:
-			if ka {
-				if va <= 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJgtz:
-			if ka {
-				if va > 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJgez:
-			if ka {
-				if va >= 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJbc, OpJbs:
-			if ka && kb {
-				bit := (va >> uint(vb&63)) & 1
-				if (bit == 0) == (in.op == OpJbc) {
 					in.op = OpJmp
 				} else {
 					in.op, in.k = OpNop, 0
@@ -610,13 +454,6 @@ func constFold(ir []irIns) bool {
 		}
 	}
 	return changed
-}
-
-func foldB2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // fusedJump maps a comparison opcode to the fused jump taken when the

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"progmp/internal/lang/ir"
 	"progmp/internal/runtime"
 )
 
@@ -29,9 +28,11 @@ func NewProfile(p *Program) *Profile {
 }
 
 // ExecProfile runs one execution of p against env, accumulating
-// per-instruction counts. It mirrors Program.Exec semantics exactly
-// (same graceful arithmetic, same step budget) but pays the counting
-// overhead, so it is meant for development, not the data path.
+// per-instruction counts. It has Exec's semantics (the same step
+// budget, the same faults) but takes instruction results and branch
+// outcomes from value and taken instead of Exec's inlined switch, and
+// pays the counting overhead, so it is meant for development, not the
+// data path.
 func (pr *Profile) ExecProfile(env *runtime.Env) error {
 	p := pr.prog
 	if p.SpecializedSubflows >= 0 && len(env.SubflowViews) != p.SpecializedSubflows {
@@ -48,161 +49,27 @@ func (pr *Profile) ExecProfile(env *runtime.Env) error {
 		steps++
 		pr.Hits[pc]++
 		in := &insns[pc]
+		a, b := regs[in.A], regs[in.B]
+		if v, ok := value(in.Op, a, b, in.K); ok {
+			regs[in.Dst] = v
+			continue
+		}
+		take, jump := taken(in.Op, a, b)
+		if in.Op == OpJsbz || in.Op == OpJsbnz {
+			set := sbfView(env, a).Bool(runtime.SubflowBoolProp(in.B))
+			take, jump = set == (in.Op == OpJsbnz), true
+		}
+		if jump {
+			if take {
+				pc += int(in.K)
+				if in.K < 0 && steps > MaxSteps {
+					goto budget
+				}
+			}
+			continue
+		}
 		switch in.Op {
 		case OpNop:
-		case OpMovImm:
-			regs[in.Dst] = in.K
-		case OpMov:
-			regs[in.Dst] = regs[in.A]
-		case OpAdd:
-			regs[in.Dst] = regs[in.A] + regs[in.B]
-		case OpSub:
-			regs[in.Dst] = regs[in.A] - regs[in.B]
-		case OpMul:
-			regs[in.Dst] = regs[in.A] * regs[in.B]
-		case OpDiv:
-			regs[in.Dst] = ir.DivInt(regs[in.A], regs[in.B])
-		case OpMod:
-			regs[in.Dst] = ir.ModInt(regs[in.A], regs[in.B])
-		case OpNeg:
-			regs[in.Dst] = -regs[in.A]
-		case OpNot:
-			regs[in.Dst] = b2i(regs[in.A] == 0)
-		case OpEq:
-			regs[in.Dst] = b2i(regs[in.A] == regs[in.B])
-		case OpNe:
-			regs[in.Dst] = b2i(regs[in.A] != regs[in.B])
-		case OpLt:
-			regs[in.Dst] = b2i(regs[in.A] < regs[in.B])
-		case OpLe:
-			regs[in.Dst] = b2i(regs[in.A] <= regs[in.B])
-		case OpGt:
-			regs[in.Dst] = b2i(regs[in.A] > regs[in.B])
-		case OpGe:
-			regs[in.Dst] = b2i(regs[in.A] >= regs[in.B])
-		case OpPopcnt:
-			regs[in.Dst] = popcount(regs[in.A])
-		case OpBitSet:
-			regs[in.Dst] = regs[in.A] | int64(uint64(1)<<uint(regs[in.B]&63))
-		case OpBitTest:
-			regs[in.Dst] = (regs[in.A] >> uint(regs[in.B]&63)) & 1
-		case OpJmp:
-			pc += int(in.K)
-			if in.K < 0 && steps > MaxSteps {
-				goto budget
-			}
-		case OpJz:
-			if regs[in.A] == 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJnz:
-			if regs[in.A] != 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJeq:
-			if regs[in.A] == regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJne:
-			if regs[in.A] != regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJlt:
-			if regs[in.A] < regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJle:
-			if regs[in.A] <= regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJgt:
-			if regs[in.A] > regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJge:
-			if regs[in.A] >= regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJltz:
-			if regs[in.A] < 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJlez:
-			if regs[in.A] <= 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJgtz:
-			if regs[in.A] > 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJgez:
-			if regs[in.A] >= 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJsbz:
-			if !sbfView(env, regs[in.A]).Bool(runtime.SubflowBoolProp(in.B)) {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJsbnz:
-			if sbfView(env, regs[in.A]).Bool(runtime.SubflowBoolProp(in.B)) {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJbc:
-			if (regs[in.A]>>uint(regs[in.B]&63))&1 == 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJbs:
-			if (regs[in.A]>>uint(regs[in.B]&63))&1 != 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
 		case OpReturn:
 			pr.Steps += steps
 			pr.Runs++
@@ -210,49 +77,47 @@ func (pr *Profile) ExecProfile(env *runtime.Env) error {
 		case OpLoadReg:
 			regs[in.Dst] = env.Reg(int(in.K))
 		case OpStoreReg:
-			env.SetReg(int(in.K), regs[in.A])
+			env.SetReg(int(in.K), a)
 		case OpLoadGlobal:
 			regs[in.Dst] = env.Global(int(in.K))
 		case OpStoreGlobal:
-			env.SetGlobal(int(in.K), regs[in.A])
+			env.SetGlobal(int(in.K), a)
 		case OpSbfCount:
 			regs[in.Dst] = int64(len(env.SubflowViews))
-		case OpSbfRef:
-			regs[in.Dst] = regs[in.A] + 1
 		case OpSbfIntProp:
-			regs[in.Dst] = sbfView(env, regs[in.A]).Int(runtime.SubflowIntProp(in.K))
+			regs[in.Dst] = sbfView(env, a).Int(runtime.SubflowIntProp(in.K))
 		case OpSbfBoolProp:
-			regs[in.Dst] = b2i(sbfView(env, regs[in.A]).Bool(runtime.SubflowBoolProp(in.K)))
+			regs[in.Dst] = b2i(sbfView(env, a).Bool(runtime.SubflowBoolProp(in.K)))
 		case OpHasWnd:
-			regs[in.Dst] = b2i(sbfView(env, regs[in.A]).HasWindowFor(pktView(env, regs[in.B])))
+			regs[in.Dst] = b2i(sbfView(env, a).HasWindowFor(pktView(env, b)))
 		case OpPktProp:
-			regs[in.Dst] = pktView(env, regs[in.A]).Int(runtime.PacketIntProp(in.K))
+			regs[in.Dst] = pktView(env, a).Int(runtime.PacketIntProp(in.K))
 		case OpSentOn:
-			regs[in.Dst] = b2i(pktView(env, regs[in.A]).SentOn(sbfView(env, regs[in.B])))
+			regs[in.Dst] = b2i(pktView(env, a).SentOn(sbfView(env, b)))
 		case OpQNext:
-			// Mirrors Exec: a nil queue reads as exhausted, never a crash.
+			// As in Exec: a nil queue reads as exhausted, never a crash.
 			if q := env.Queue(runtime.QueueID(in.K)); q != nil {
-				regs[in.Dst] = int64(q.NextVisible(int(regs[in.A])))
+				regs[in.Dst] = int64(q.NextVisible(int(a)))
 			} else {
 				regs[in.Dst] = -1
 			}
 		case OpPktRef:
-			regs[in.Dst] = (in.K+1)<<32 | (regs[in.A] + 1)
+			regs[in.Dst] = (in.K+1)<<32 | (a + 1)
 		case OpPop:
 			env.Site = int32(pc)
-			env.Pop(runtime.QueueID(in.K), pktView(env, regs[in.A]))
+			env.Pop(runtime.QueueID(in.K), pktView(env, a))
 		case OpPush:
 			env.Site = int32(pc)
-			env.Push(sbfView(env, regs[in.A]), pktView(env, regs[in.B]))
+			env.Push(sbfView(env, a), pktView(env, b))
 		case OpDrop:
 			env.Site = int32(pc)
-			env.Drop(pktView(env, regs[in.A]))
+			env.Drop(pktView(env, a))
 		case OpLoadSlot:
 			regs[in.Dst] = spills[in.K]
 		case OpStoreSlot:
-			spills[in.K] = regs[in.A]
+			spills[in.K] = a
 		default:
-			// Mirrors Exec: executed steps are credited even when the
+			// As in Exec: executed steps are credited even when the
 			// program faults on an invalid opcode.
 			pr.Steps += steps
 			return fmt.Errorf("vm: invalid opcode %d at pc %d", int(in.Op), pc)
@@ -264,16 +129,6 @@ func (pr *Profile) ExecProfile(env *runtime.Env) error {
 budget:
 	pr.Steps += steps
 	return ErrStepBudget
-}
-
-func popcount(v int64) int64 {
-	var n int64
-	u := uint64(v)
-	for u != 0 {
-		u &= u - 1
-		n++
-	}
-	return n
 }
 
 // Report renders the profile: every instruction annotated with its hit

@@ -93,11 +93,12 @@ var roles = map[Op]opRoles{
 	OpJbs:         {readsA: true, readsB: true},
 }
 
-// StepCost is the most steps one virtual-register instruction of op can
+// stepCost is the most steps one virtual-register instruction of op can
 // take once allocated: the instruction itself, a spill load for each
 // register it reads and a spill store for the register it writes. The
-// analyzer's step bound charges every emitted instruction this much.
-func StepCost(op Op) int64 {
+// code generator counts every emitted instruction this much (see
+// StepCounts).
+func stepCost(op Op) int64 {
 	r := roles[op]
 	return 1 + b2i(r.readsA) + b2i(r.readsB) + b2i(r.writesDst)
 }

@@ -341,15 +341,6 @@ func actionsEquivalent(a, b *runtime.Env) bool {
 	return envtest.SameActions(a.Actions, b.Actions)
 }
 
-func TestMustCompilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCompile should panic on nil info program")
-		}
-	}()
-	MustCompile(nil)
-}
-
 func TestVerifyQueueIDs(t *testing.T) {
 	// Every queue-id-carrying opcode must reject ids beyond RQ and
 	// negative ids, mirroring the eBPF loader's bounds discipline.
