@@ -77,34 +77,52 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 		l      *packetList
 		sorted bool
 	}{
-		{"Q", c.sendQ, true},
-		{"QU", c.unackedQ, true},
-		{"RQ", c.reinjectQ, false}, // RQ is loss-ordered, not seq-ordered
+		{"Q", &c.sendQ, true},
+		{"QU", &c.unackedQ, true},
+		{"RQ", &c.reinjectQ, false}, // RQ is loss-ordered, not seq-ordered
+	}
+	// The sequence window holds every unacked packet, so the membership
+	// checks below see every packet that may carry a queue bit.
+	win := c.seqWin.items()
+	for i, p := range win {
+		if want := c.nextSeq - int64(len(win)) + int64(i); p.Seq != want {
+			t.Fatalf("round %d: sequence window slot %d holds seq %d, want %d", round, i, p.Seq, want)
+		}
+		if p.MetaAcked {
+			t.Fatalf("round %d: sequence window holds acknowledged seq %d", round, p.Seq)
+		}
 	}
 	for _, ent := range lists {
-		if len(ent.l.in) != len(ent.l.pkts) {
-			t.Fatalf("round %d: %s membership map has %d entries for %d packets",
-				round, ent.name, len(ent.l.in), len(ent.l.pkts))
-		}
-		seen := make(map[*Packet]bool, len(ent.l.pkts))
-		for i, p := range ent.l.pkts {
+		items := ent.l.items()
+		seen := make(map[*Packet]bool, len(items))
+		for i, p := range items {
 			if seen[p] {
 				t.Fatalf("round %d: %s holds seq %d twice", round, ent.name, p.Seq)
 			}
 			seen[p] = true
-			if !ent.l.in[p] {
-				t.Fatalf("round %d: %s seq %d missing from membership map", round, ent.name, p.Seq)
+			if !ent.l.contains(p) {
+				t.Fatalf("round %d: %s seq %d lacks its membership bit", round, ent.name, p.Seq)
 			}
 			if p.MetaAcked {
 				t.Fatalf("round %d: %s holds acknowledged seq %d", round, ent.name, p.Seq)
 			}
-			if ent.sorted && i > 0 && ent.l.pkts[i-1].Seq >= p.Seq {
+			if ent.sorted && i > 0 && items[i-1].Seq >= p.Seq {
 				t.Fatalf("round %d: %s out of order at %d: seq %d before seq %d",
-					round, ent.name, i, ent.l.pkts[i-1].Seq, p.Seq)
+					round, ent.name, i, items[i-1].Seq, p.Seq)
 			}
 		}
+		bits := 0
+		for _, p := range win {
+			if ent.l.contains(p) {
+				bits++
+			}
+		}
+		if bits != len(items) {
+			t.Fatalf("round %d: %s membership bit set on %d packets for %d queued",
+				round, ent.name, bits, len(items))
+		}
 	}
-	for _, p := range c.sendQ.pkts {
+	for _, p := range c.sendQ.items() {
 		if c.unackedQ.contains(p) {
 			t.Fatalf("round %d: seq %d in both Q and QU", round, p.Seq)
 		}
@@ -126,10 +144,7 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 		_, ok := c.receiver.oooMeta[p.Seq]
 		return ok
 	}
-	for _, p := range c.pktBySeq {
-		if p.MetaAcked {
-			continue
-		}
+	for _, p := range win {
 		if !c.sendQ.contains(p) && !c.unackedQ.contains(p) &&
 			!c.reinjectQ.contains(p) && !inFlight[p] && !receiverHas(p) {
 			t.Fatalf("round %d: unacked seq %d reachable from no queue, no in-flight record, and not at receiver",

@@ -107,9 +107,9 @@ type Conn struct {
 	subflows []*Subflow
 	receiver *Receiver
 
-	sendQ     *packetList // Q
-	unackedQ  *packetList // transmitted, un-DATA_ACKed (superset of RQ)
-	reinjectQ *packetList // RQ
+	sendQ     packetList // Q
+	unackedQ  packetList // transmitted, un-DATA_ACKed (superset of RQ)
+	reinjectQ packetList // RQ
 
 	nextSeq  int64
 	cumAcked int64 // meta seq below which everything is acked
@@ -122,7 +122,12 @@ type Conn struct {
 	ackedOffset int64
 	maxSentEnd  int64
 	bytesQueued int64 // total bytes enqueued so far (next Offset)
-	pktBySeq    map[int64]*Packet
+	// seqWin holds every enqueued packet the cumulative DATA_ACK does
+	// not cover yet, in sequence order: the seqs
+	// [nextSeq-seqWin.len(), nextSeq). It resolves scheduler packet
+	// handles; acked packets leave it, so a connection keeps no
+	// packet it has finished with.
+	seqWin deque[*Packet]
 
 	// Snapshot arena (§4.1): recycled environment, subflow views and
 	// lazily-materialized queue views. The three sources feed the
@@ -185,10 +190,9 @@ func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 		eng:       eng,
 		cfg:       cfg,
 		cc:        cfg.CC,
-		sendQ:     newPacketList(),
-		unackedQ:  newPacketList(),
-		reinjectQ: newPacketList(),
-		pktBySeq:  make(map[int64]*Packet),
+		sendQ:     packetList{bit: inQ, sorted: true},
+		unackedQ:  packetList{bit: inQU, sorted: true},
+		reinjectQ: packetList{bit: inRQ},
 		rwnd:      int64(cfg.RcvBuf),
 	}
 	c.arena = runtime.NewArena(&c.regs)
@@ -404,7 +408,7 @@ func (c *Conn) Send(n int, prop int64) {
 		}
 		c.bytesQueued += int64(size)
 		c.nextSeq++
-		c.pktBySeq[pkt.Seq] = pkt
+		c.seqWin.pushBack(pkt)
 		c.sendQ.pushBack(pkt)
 		c.TotalEnqueued++
 	}
@@ -539,11 +543,9 @@ func (c *Conn) onAck(metaCumAck int64, rwnd int64, s *Subflow) {
 	c.mAcks.Add(1)
 	c.trace(obs.EvAck, int32(s.id), -1, metaCumAck, 0)
 	if metaCumAck > c.cumAcked {
-		for seq := c.cumAcked; seq < metaCumAck; seq++ {
-			pkt := c.pktBySeq[seq]
-			if pkt == nil {
-				continue
-			}
+		for c.seqWin.len() > 0 && c.seqWin.at(0).Seq < metaCumAck {
+			pkt := c.seqWin.at(0)
+			c.seqWin.popFront()
 			pkt.MetaAcked = true
 			if end := pkt.Offset + int64(pkt.Size); end > c.ackedOffset {
 				c.ackedOffset = end
@@ -722,16 +724,16 @@ func (c *Conn) buildEnv() *runtime.Env {
 		}
 	}
 
-	c.qSrc = pktSource{pkts: c.sendQ.pkts, now: now}
+	c.qSrc = pktSource{pkts: c.sendQ.items(), now: now}
 	c.arena.BindQueue(runtime.QueueSend, &c.qSrc,
-		len(c.sendQ.pkts), sameClock && c.lastQVer == c.sendQ.ver)
+		c.sendQ.len(), sameClock && c.lastQVer == c.sendQ.ver)
 
 	// QU excludes reinjection candidates (pairwise disjoint views,
 	// §3.1), so its filtered membership depends on both QU and RQ.
 	reuseQU := sameClock && c.lastQUVer == c.unackedQ.ver && c.lastRQVer == c.reinjectQ.ver
 	if !reuseQU {
 		c.quSnap = c.quSnap[:0]
-		for _, p := range c.unackedQ.pkts {
+		for _, p := range c.unackedQ.items() {
 			if !c.reinjectQ.contains(p) {
 				//progmp:ignore hotpath amortized: quSnap capacity is retained across executions
 				c.quSnap = append(c.quSnap, p)
@@ -741,9 +743,9 @@ func (c *Conn) buildEnv() *runtime.Env {
 	c.quSrc = pktSource{pkts: c.quSnap, now: now}
 	c.arena.BindQueue(runtime.QueueUnacked, &c.quSrc, len(c.quSnap), reuseQU)
 
-	c.rqSrc = pktSource{pkts: c.reinjectQ.pkts, now: now}
+	c.rqSrc = pktSource{pkts: c.reinjectQ.items(), now: now}
 	c.arena.BindQueue(runtime.QueueReinject, &c.rqSrc,
-		len(c.reinjectQ.pkts), sameClock && c.lastRQVer == c.reinjectQ.ver)
+		c.reinjectQ.len(), sameClock && c.lastRQVer == c.reinjectQ.ver)
 
 	c.lastNow = now
 	c.lastQVer = c.sendQ.ver
@@ -871,8 +873,16 @@ func (c *Conn) insertSendQ(pkt *Packet) {
 	c.sendQ.insertBySeq(pkt)
 }
 
+// pktOf resolves a scheduler packet handle through the sequence
+// window. The handle of an acked or never-enqueued segment resolves to
+// nil, and applyActions skips it as it skips an acked packet.
 func (c *Conn) pktOf(h runtime.PacketHandle) *Packet {
-	return c.pktBySeq[int64(h)-1]
+	n := int64(c.seqWin.len())
+	i := int64(h) - 1 - (c.nextSeq - n)
+	if i < 0 || i >= n {
+		return nil
+	}
+	return c.seqWin.at(int(i))
 }
 
 func (c *Conn) sbfOf(h runtime.SubflowHandle) *Subflow {
@@ -886,10 +896,10 @@ func (c *Conn) sbfOf(h runtime.SubflowHandle) *Subflow {
 func (c *Conn) queueList(id runtime.QueueID) *packetList {
 	switch id {
 	case runtime.QueueSend:
-		return c.sendQ
+		return &c.sendQ
 	case runtime.QueueUnacked:
-		return c.unackedQ
+		return &c.unackedQ
 	default:
-		return c.reinjectQ
+		return &c.reinjectQ
 	}
 }

@@ -205,7 +205,7 @@ func TestReceiveWindowBlocksSender(t *testing.T) {
 	exceeded := false
 	check := func() {
 		var inFlight int64
-		for _, p := range conn.unackedQ.all() {
+		for _, p := range conn.unackedQ.items() {
 			inFlight += int64(p.Size)
 		}
 		if inFlight > int64(conn.cfg.RcvBuf) {

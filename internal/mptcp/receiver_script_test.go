@@ -41,10 +41,12 @@ func runScript(t *testing.T, mode ReceiverMode, script []arrival) ([]delivery, *
 			t.Fatal(err)
 		}
 	}
-	// Register the packets so meta DATA_ACK processing knows them.
+	// Register the packets through the sequence window so meta
+	// DATA_ACK processing knows them.
 	for _, a := range script {
-		if conn.pktBySeq[a.metaSeq] == nil {
-			conn.pktBySeq[a.metaSeq] = &Packet{Seq: a.metaSeq, Size: segSize}
+		for conn.nextSeq <= a.metaSeq {
+			conn.seqWin.pushBack(&Packet{Seq: conn.nextSeq, Size: segSize})
+			conn.nextSeq++
 		}
 	}
 	var out []delivery

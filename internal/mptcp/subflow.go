@@ -87,8 +87,10 @@ type Subflow struct {
 	// kernel.
 	qdiscBytes int64
 
-	// Delivery-rate estimation: acked-bytes samples in a sliding window.
-	rateSamples []rateSample
+	// Delivery-rate estimation: acked-bytes samples in a sliding
+	// window, and their running sum.
+	rateSamples deque[rateSample]
+	rateBytes   int
 
 	// olia is per-subflow state for the OLIA congestion control.
 	olia oliaState
@@ -513,31 +515,29 @@ func (s *Subflow) rttSample(sample time.Duration) {
 // recordDelivered feeds the sliding-window delivery-rate estimator.
 func (s *Subflow) recordDelivered(bytes int) {
 	now := s.conn.eng.Now()
-	s.rateSamples = append(s.rateSamples, rateSample{at: now, bytes: bytes})
+	s.rateSamples.pushBack(rateSample{at: now, bytes: bytes})
+	s.rateBytes += bytes
 	s.pruneRateSamples(now)
 	if st := s.conn.store; st != nil {
 		st.RecordDelivered(s.destID, int64(bytes))
 	}
 }
 
+// pruneRateSamples drops the samples older than the window from the
+// front and from the running sum.
 func (s *Subflow) pruneRateSamples(now time.Duration) {
-	cut := 0
-	for cut < len(s.rateSamples) && s.rateSamples[cut].at < now-rateWindow {
-		cut++
+	for s.rateSamples.len() > 0 && s.rateSamples.at(0).at < now-rateWindow {
+		s.rateBytes -= s.rateSamples.at(0).bytes
+		s.rateSamples.popFront()
 	}
-	s.rateSamples = s.rateSamples[cut:]
 }
 
 // Throughput estimates the delivery rate in bytes/s over the sliding
-// window.
+// window. The running sum makes it O(1) however many samples the
+// window holds.
 func (s *Subflow) Throughput() int64 {
-	now := s.conn.eng.Now()
-	s.pruneRateSamples(now)
-	var total int
-	for _, smp := range s.rateSamples {
-		total += smp.bytes
-	}
-	return int64(float64(total) / rateWindow.Seconds())
+	s.pruneRateSamples(s.conn.eng.Now())
+	return int64(float64(s.rateBytes) / rateWindow.Seconds())
 }
 
 // queuedSegments approximates segments handed to the subflow but not

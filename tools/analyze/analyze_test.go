@@ -85,6 +85,24 @@ func helper() { _ = map[int]int{} }
 			want: []string{"map literal allocates"},
 		},
 		{
+			// A method of an instantiated generic type resolves to the
+			// generic declaration, so its body is walked like any other
+			// callee.
+			name: "callee propagation into a generic method",
+			src: `package fixture
+
+type stack[T any] struct{ xs []T }
+
+func (s *stack[T]) push(v T) { s.xs = append(s.xs, v) }
+
+type S struct{ st stack[int] }
+
+//progmp:hotpath
+func (s *S) Hot(n int) { s.st.push(n) }
+`,
+			want: []string{"append may grow"},
+		},
+		{
 			name: "interface boxing and closures",
 			src: `package fixture
 
@@ -224,6 +242,24 @@ import "time"
 
 //progmp:deterministic
 func Tick() int64 { return time.Now().UnixNano() }
+`,
+			want: []string{"time.Now"},
+		},
+		{
+			name: "time.Now in a generic method",
+			src: `package fixture
+
+import "time"
+
+type clock[T any] struct{ v T }
+
+func (c *clock[T]) stamp() int64 { return time.Now().UnixNano() }
+
+//progmp:deterministic
+func Tick() int64 {
+	var c clock[int]
+	return c.stamp()
+}
 `,
 			want: []string{"time.Now"},
 		},

@@ -36,7 +36,10 @@ const (
 )
 
 // resolveCall classifies call and, for static and interface calls,
-// returns the callee.
+// returns the callee. A method of an instantiated generic type
+// resolves to its generic declaration, whose body the traversal
+// passes walk. (Identifiers of generic functions already resolve to
+// the generic declaration.)
 func resolveCall(info *types.Info, call *ast.CallExpr) (callKind, *types.Func, *types.Builtin) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return callConversion, nil, nil
@@ -56,7 +59,7 @@ func resolveCall(info *types.Info, call *ast.CallExpr) (callKind, *types.Func, *
 				if types.IsInterface(sel.Recv()) {
 					return callInterface, fn, nil
 				}
-				return callStatic, fn, nil
+				return callStatic, fn.Origin(), nil
 			}
 			return callDynamic, nil, nil // func-typed field
 		}
